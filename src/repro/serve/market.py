@@ -23,7 +23,7 @@ seeded load generator asserts on.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+import math
 
 from ..core.deadline import min_cost_for_deadline
 from ..core.tuner import STRATEGIES, Tuner
@@ -38,6 +38,24 @@ DEFAULT_MARKET_BUDGET = 100_000
 #: How many open-task entries ``state_document`` inlines (the full
 #: count is always reported; the tail keeps state responses bounded).
 _STATE_TAIL = 20
+
+
+def _number(request: dict, key: str, default, cast):
+    """``cast(request[key])`` (or of *default*), or a typed ModelError.
+
+    A bool, a value *cast* rejects, and NaN or +-inf are malformed
+    input, never an internal error.
+    """
+    value = request.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            number = cast(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ModelError(f"{key!r} must be a finite number, got {value!r}")
 
 
 def _group_price_rows(group_prices: dict) -> list[dict]:
@@ -91,7 +109,7 @@ class LiveMarket:
                 f"{sorted(available_families())})"
             )
         case = str(request.get("case", "a"))
-        n_tasks = int(request.get("n_tasks", 8))
+        n_tasks = _number(request, "n_tasks", 8, int)
         family = scenario_family(scenario, case=case, n_tasks=n_tasks)
 
         has_budget = "budget" in request
@@ -104,7 +122,7 @@ class LiveMarket:
             )
 
         if has_budget:
-            batch_budget = int(request["budget"])
+            batch_budget = _number(request, "budget", None, int)
             strategy = str(request.get("strategy", "auto"))
             if strategy != "auto" and strategy not in STRATEGIES:
                 raise ModelError(
@@ -115,7 +133,9 @@ class LiveMarket:
             # A fixed default seed keeps rng-using strategies (EA's
             # remainder placement) deterministic per request, so a
             # replayed schedule reproduces the ledger trajectory.
-            tuner = Tuner(strategy=strategy, seed=int(request.get("seed", 0)))
+            tuner = Tuner(
+                strategy=strategy, seed=_number(request, "seed", 0, int)
+            )
             allocation = tuner.tune(problem)
             prices = {
                 g.key: allocation[g.tasks[0].task_id][0]
@@ -132,9 +152,9 @@ class LiveMarket:
             }
             return doc, int(allocation.total_cost)
 
-        deadline = float(request["deadline"])
-        confidence = float(request.get("confidence", 0.9))
-        max_price = int(request.get("max_price", 1_000))
+        deadline = _number(request, "deadline", None, float)
+        confidence = _number(request, "confidence", 0.9, float)
+        max_price = _number(request, "max_price", 1_000, int)
         result = min_cost_for_deadline(
             family.tasks,
             deadline,

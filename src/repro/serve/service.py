@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from typing import Optional
 
@@ -99,6 +100,19 @@ class _RunRecord:
         if self.error is not None:
             doc["error"] = self.error
         return doc
+
+
+# ``json.loads`` hooks: NaN, +-Infinity and literals that overflow to
+# inf (``1e400``) are malformed input, rejected once at decode.
+def _reject_non_finite(literal: str):
+    raise ModelError(f"request body has a non-finite number: {literal}")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        _reject_non_finite(literal)
+    return value
 
 
 def _error_body(exc: BaseException, spec=None, config=None) -> dict:
@@ -220,7 +234,11 @@ class ReproService:
         if not body:
             return {}
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = json.loads(
+                body.decode("utf-8"),
+                parse_constant=_reject_non_finite,
+                parse_float=_finite_float,
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(f"request body is not valid JSON: {exc}")
         if not isinstance(doc, dict):

@@ -5,7 +5,8 @@ and processing densities.  For two exponentials the closed form is the
 hypoexponential (see :class:`repro.stats.distributions.Hypoexponential`);
 for longer chains (e.g. a task's full multi-repetition life, or
 deterministic requester-side post-processing) we convolve numerically
-on a uniform grid with the FFT.
+on a uniform grid with a direct ``np.convolve`` (O(n²) in the grid
+size).
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ import numpy as np
 
 from ..errors import ModelError
 
-__all__ = ["grid_for", "convolve_pdf", "convolve_cdf", "convolve_densities"]
+__all__ = [
+    "grid_for",
+    "convolve_pdf",
+    "convolve_cdf",
+    "convolve_densities",
+    "grid_cdf",
+    "interp_on_grid",
+]
 
 
 def grid_for(components, grid_points: int = 4096) -> np.ndarray:
@@ -46,9 +54,9 @@ def convolve_densities(components, grid_points: int = 4096):
     """Convolve component pdfs on a shared grid.
 
     Returns ``(grid, pdf_values)`` where ``pdf_values`` integrates to ~1.
-    Uses zero-padded FFT convolution; each pairwise convolution is
-    truncated back to the grid length, and the running density is
-    renormalized to control accumulated truncation error.
+    Each pairwise ``np.convolve`` is truncated back to the grid length,
+    and the running density is renormalized to control accumulated
+    truncation error.
     """
     components = list(components)
     grid = grid_for(components, grid_points)
@@ -64,20 +72,26 @@ def convolve_densities(components, grid_points: int = 4096):
     return grid, pdf
 
 
+def grid_cdf(grid: np.ndarray, pdf: np.ndarray) -> np.ndarray:
+    """Running cdf of a density sampled on the uniform *grid*."""
+    dt = grid[1] - grid[0]
+    return np.clip(np.cumsum(pdf) * dt, 0.0, 1.0)
+
+
+def interp_on_grid(grid: np.ndarray, values: np.ndarray, t, right: float):
+    """*values* on *grid* interpolated at *t* (0 left of the grid)."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.interp(t_arr, grid, values, left=0.0, right=right)
+    return out if out.ndim else float(out)
+
+
 def convolve_pdf(components, t, grid_points: int = 4096):
     """pdf of the sum of *components* evaluated at *t* (interpolated)."""
     grid, pdf = convolve_densities(components, grid_points)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.interp(t_arr, grid, pdf, left=0.0, right=0.0)
-    return out if out.ndim else float(out)
+    return interp_on_grid(grid, pdf, t, right=0.0)
 
 
 def convolve_cdf(components, t, grid_points: int = 4096):
     """cdf of the sum of *components* evaluated at *t*."""
     grid, pdf = convolve_densities(components, grid_points)
-    dt = grid[1] - grid[0]
-    cdf = np.cumsum(pdf) * dt
-    cdf = np.clip(cdf, 0.0, 1.0)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.interp(t_arr, grid, cdf, left=0.0, right=1.0)
-    return out if out.ndim else float(out)
+    return interp_on_grid(grid, grid_cdf(grid, pdf), t, right=1.0)

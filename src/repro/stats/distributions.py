@@ -23,6 +23,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import ModelError
+from . import convolution
 from .rng import RandomState, ensure_rng
 
 __all__ = [
@@ -343,13 +344,18 @@ class SumOf:
     """Distribution of a sum of independent components (sequential phases).
 
     Only mean/var/sample are exact; pdf/cdf go through the numeric
-    convolution helpers in :mod:`repro.stats.convolution`.
+    convolution helpers in :mod:`repro.stats.convolution`.  The
+    convolved grid is built once per ``grid_points`` and reused by every
+    later pdf/cdf call (quadrature over ``E[max]`` calls cdf thousands
+    of times); *components* is snapshotted into a tuple so the memo can
+    never go stale.
     """
 
     def __init__(self, components: list) -> None:
         if not components:
             raise ModelError("SumOf requires at least one component")
-        self.components = list(components)
+        self.components = tuple(components)
+        self._grids: dict[int, tuple] = {}
 
     def mean(self) -> float:
         return float(sum(c.mean() for c in self.components))
@@ -365,15 +371,24 @@ class SumOf:
             return float(out)
         return out
 
-    def cdf(self, t, grid_points: int = 4096):
-        from .convolution import convolve_cdf
+    def _grid(self, grid_points: int) -> tuple:
+        """``(grid, pdf, cdf)`` of the convolved sum on *grid_points*."""
+        cached = self._grids.get(grid_points)
+        if cached is None:
+            grid, pdf = convolution.convolve_densities(
+                self.components, grid_points
+            )
+            cached = (grid, pdf, convolution.grid_cdf(grid, pdf))
+            self._grids[grid_points] = cached
+        return cached
 
-        return convolve_cdf(self.components, t, grid_points=grid_points)
+    def cdf(self, t, grid_points: int = 4096):
+        grid, _pdf, cdf = self._grid(grid_points)
+        return convolution.interp_on_grid(grid, cdf, t, right=1.0)
 
     def pdf(self, t, grid_points: int = 4096):
-        from .convolution import convolve_pdf
-
-        return convolve_pdf(self.components, t, grid_points=grid_points)
+        grid, pdf, _cdf = self._grid(grid_points)
+        return convolution.interp_on_grid(grid, pdf, t, right=0.0)
 
     def sf(self, t, grid_points: int = 4096):
         return 1.0 - self.cdf(t, grid_points=grid_points)

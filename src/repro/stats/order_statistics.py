@@ -24,7 +24,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import ModelError
 from .distributions import Erlang, Exponential
@@ -119,6 +118,8 @@ def _expected_max_erlang_cached(n: int, shape: int, rate_key: float) -> float:
     rate = float(rate_key)
     if shape == 1:
         return expected_max_exponential_iid(n, rate)
+    from scipy import integrate
+
     dist = Erlang(shape, rate)
 
     def survival(t: float) -> float:
@@ -162,6 +163,8 @@ def expected_maximum_generic(components, upper: float | None = None) -> float:
     need only expose ``cdf`` and ``mean`` (mean is used to choose the
     integration split point when *upper* is not given).
     """
+    from scipy import integrate
+
     components = list(components)
     if not components:
         raise ModelError("need at least one component")

@@ -15,7 +15,8 @@ from serve_tiny import TINY_SPEC, call, submit_and_wait
 
 from repro.api import ExperimentSpec, RunConfig, Session
 from repro.api.config import fingerprint
-from repro.serve import ReproService, http_request, start_in_thread
+from repro.errors import ModelError
+from repro.serve import LiveMarket, ReproService, http_request, start_in_thread
 
 
 def run(coro):
@@ -314,6 +315,37 @@ class TestMarket:
 
         run(check())
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"budget": float("nan")},
+            {"budget": float("inf")},
+            {"deadline": float("nan")},
+            {"budget": 600, "n_tasks": "x"},
+            {"budget": 600, "seed": "z"},
+            {"budget": True},
+            {"deadline": 2.0, "max_price": False},
+            {"budget": None},
+        ],
+    )
+    def test_malformed_number_is_400_no_charge(self, service, field):
+        async def check():
+            body = dict({"scenario": "repe", "n_tasks": 4}, **field)
+            status, doc = await call(service, "POST", "/market/allocate", body)
+            assert status == 400, doc
+            assert doc["code"] == "model-invalid"
+            _, state = await call(service, "GET", "/market/state")
+            assert state["ledger"]["spent"] == 0
+
+        run(check())
+
+    @pytest.mark.parametrize(
+        "field", [{"budget": float("nan")}, {"deadline": float("-inf")}]
+    )
+    def test_market_rejects_non_finite_in_process(self, field):
+        with pytest.raises(ModelError, match="finite"):
+            LiveMarket().allocate(dict({"scenario": "repe", "n_tasks": 4}, **field))
+
     def test_state_document_shape(self, service):
         async def check():
             status, doc = await call(service, "GET", "/market/state")
@@ -323,6 +355,39 @@ class TestMarket:
             }
             assert len(doc["trajectory_digest"]) == 16
             assert doc["open_tasks"]["count"] == 0
+
+        run(check())
+
+
+class TestNonFiniteJson:
+    """NaN, +-Infinity and overflowing literals are 400s on every route."""
+
+    BODIES = {
+        "/runs": '{"spec": {"experiment": "deadline-frontier", '
+        '"params": {"deadlines": [%s]}}}',
+        "/market/allocate": '{"scenario": "repe", "n_tasks": 4, "budget": %s}',
+    }
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("path", sorted(BODIES))
+    def test_non_finite_literal_is_400(self, service, path, literal):
+        async def check():
+            body = (self.BODIES[path] % literal).encode("utf-8")
+            status, doc = await service.handle("POST", path, body)
+            assert status == 400, doc
+            assert doc["code"] == "model-invalid"
+            assert "non-finite" in doc["message"]
+            assert service.runs == {}
+            assert service.market.spent == 0
+
+        run(check())
+
+    def test_finite_float_literal_still_decodes(self, service):
+        async def check():
+            body = (self.BODIES["/market/allocate"] % "6e2").encode("utf-8")
+            status, doc = await service.handle("POST", "/market/allocate", body)
+            assert status == 200, doc
+            assert doc["batch_budget"] == 600
 
         run(check())
 

@@ -18,6 +18,7 @@ from repro.stats import (
     SumOf,
     two_phase_latency,
 )
+from repro.stats.convolution import convolve_cdf, convolve_pdf
 
 
 class TestExponential:
@@ -260,6 +261,48 @@ class TestSumOf:
         h = Hypoexponential(3.0, 1.0)
         for t in (0.5, 1.0, 2.0, 4.0):
             assert s.cdf(t) == pytest.approx(h.cdf(t), abs=0.02)
+
+    def test_memoised_grid_is_bit_identical_to_fresh_convolution(self):
+        comps = [Exponential(1.5), Erlang(2, 2.0)]
+        s = SumOf(comps)
+        t = np.array([0.0, 0.3, 1.0, 2.5, 40.0])
+        for grid_points in (4096, 512, 4096):
+            assert np.array_equal(
+                s.cdf(t, grid_points=grid_points),
+                convolve_cdf(comps, t, grid_points=grid_points),
+            )
+            assert np.array_equal(
+                s.pdf(t, grid_points=grid_points),
+                convolve_pdf(comps, t, grid_points=grid_points),
+            )
+        assert s.cdf(1.0) == convolve_cdf(comps, 1.0)
+        assert sorted(s._grids) == [512, 4096]
+
+    def test_convolves_once_per_grid_size(self, monkeypatch):
+        from repro.stats import convolution
+
+        calls = []
+        real = convolution.convolve_densities
+
+        def counting(components, grid_points):
+            calls.append(grid_points)
+            return real(components, grid_points)
+
+        monkeypatch.setattr(convolution, "convolve_densities", counting)
+        s = SumOf([Exponential(1.0), Exponential(2.0)])
+        for t in np.linspace(0.0, 5.0, 50):
+            s.cdf(t)
+            s.pdf(t)
+        s.sf(1.0, grid_points=256)
+        assert calls == [4096, 256]
+
+    def test_mutating_the_input_list_cannot_stale_the_grid(self):
+        comps = [Exponential(1.0), Exponential(2.0)]
+        s = SumOf(comps)
+        before = s.cdf(1.0)
+        comps.append(Exponential(0.1))
+        assert s.components == (Exponential(1.0), Exponential(2.0))
+        assert s.cdf(1.0) == before == SumOf(comps[:2]).cdf(1.0)
 
     def test_sample(self, rng):
         s = SumOf([Exponential(2.0), Exponential(2.0)])
