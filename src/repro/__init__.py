@@ -41,86 +41,51 @@ Quickstart::
     allocation = Tuner().tune(HTuningProblem(tasks, budget=2500))
 """
 
-from .api import ExperimentSpec, RunConfig, RunResult, Session
-from .core import (
-    Allocation,
-    HTuningProblem,
-    Scenario,
-    TaskGroup,
-    TaskSpec,
-    Tuner,
-    even_allocation,
-    heterogeneous_algorithm,
-    repetition_algorithm,
-)
-from .errors import (
-    BudgetError,
-    CheckpointError,
-    FaultInjectedError,
-    InfeasibleAllocationError,
-    InferenceError,
-    ModelError,
-    PlanError,
-    RegistryError,
-    ReproError,
-    RunNotFoundError,
-    RunTimeoutError,
-    SimulationError,
-    StoreCorruptError,
-    StoreError,
-    StoreStaleError,
-    StoreWriteError,
-    error_code,
-)
-from .resilience import (
-    BatchReport,
-    ErrorDocument,
-    FaultPlan,
-    FaultRule,
-    RetryPolicy,
-    TimeoutPolicy,
-)
-from .store import ResultStore
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Allocation",
-    "BatchReport",
-    "BudgetError",
-    "CheckpointError",
-    "ErrorDocument",
-    "ExperimentSpec",
-    "FaultInjectedError",
-    "FaultPlan",
-    "FaultRule",
-    "HTuningProblem",
-    "InfeasibleAllocationError",
-    "InferenceError",
-    "ModelError",
-    "PlanError",
-    "RegistryError",
-    "ReproError",
-    "RunNotFoundError",
-    "ResultStore",
-    "RetryPolicy",
-    "RunConfig",
-    "RunResult",
-    "RunTimeoutError",
-    "Scenario",
-    "Session",
-    "SimulationError",
-    "StoreCorruptError",
-    "StoreError",
-    "StoreStaleError",
-    "StoreWriteError",
-    "TaskGroup",
-    "TaskSpec",
-    "TimeoutPolicy",
-    "Tuner",
-    "__version__",
-    "error_code",
-    "even_allocation",
-    "heterogeneous_algorithm",
-    "repetition_algorithm",
-]
+#: Public name -> the subpackage that defines it (``None``: bound above).
+_EXPORTS = {
+    "Allocation": "core",
+    "BatchReport": "resilience",
+    "BudgetError": "errors",
+    "CheckpointError": "errors",
+    "ErrorDocument": "resilience",
+    "ExperimentSpec": "api",
+    "FaultInjectedError": "errors",
+    "FaultPlan": "resilience",
+    "FaultRule": "resilience",
+    "HTuningProblem": "core",
+    "InfeasibleAllocationError": "errors",
+    "InferenceError": "errors",
+    "ModelError": "errors",
+    "PlanError": "errors",
+    "RegistryError": "errors",
+    "ReproError": "errors",
+    "RunNotFoundError": "errors",
+    "ResultStore": "store",
+    "RetryPolicy": "resilience",
+    "RunConfig": "api",
+    "RunResult": "api",
+    "RunTimeoutError": "errors",
+    "Scenario": "core",
+    "Session": "api",
+    "SimulationError": "errors",
+    "StoreCorruptError": "errors",
+    "StoreError": "errors",
+    "StoreStaleError": "errors",
+    "StoreWriteError": "errors",
+    "TaskGroup": "core",
+    "TaskSpec": "core",
+    "TimeoutPolicy": "resilience",
+    "Tuner": "core",
+    "__version__": None,
+    "error_code": "errors",
+    "even_allocation": "core",
+    "heterogeneous_algorithm": "core",
+    "repetition_algorithm": "core",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -20,49 +20,33 @@ over this layer, and the CLI (``repro run <experiment> --param k=v``)
 is a thin shell over the registry.  See ``docs/api.md``.
 """
 
-from .config import RECORDER_POLICIES, ResolvedRunConfig, RunConfig, fingerprint
-from .session import RunResult, Session, payload_to_jsonable
-from .spec import (
-    ExperimentSpec,
-    available_experiments,
-    get_experiment,
-    make_spec,
-    register_experiment,
-    spec_from_dict,
-)
-from .specs import (
-    BudgetSweepSpec,
-    DeadlineFrontierSpec,
-    DeadlineSweepSpec,
-    Fig2Spec,
-    Fig3Spec,
-    Fig4Spec,
-    Fig5abSpec,
-    Fig5cSpec,
-    Table1Spec,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BudgetSweepSpec",
-    "DeadlineFrontierSpec",
-    "DeadlineSweepSpec",
-    "ExperimentSpec",
-    "Fig2Spec",
-    "Fig3Spec",
-    "Fig4Spec",
-    "Fig5abSpec",
-    "Fig5cSpec",
-    "RECORDER_POLICIES",
-    "ResolvedRunConfig",
-    "RunConfig",
-    "RunResult",
-    "Session",
-    "Table1Spec",
-    "available_experiments",
-    "fingerprint",
-    "get_experiment",
-    "make_spec",
-    "payload_to_jsonable",
-    "register_experiment",
-    "spec_from_dict",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BudgetSweepSpec": "specs",
+    "DeadlineFrontierSpec": "specs",
+    "DeadlineSweepSpec": "specs",
+    "ExperimentSpec": "spec",
+    "Fig2Spec": "specs",
+    "Fig3Spec": "specs",
+    "Fig4Spec": "specs",
+    "Fig5abSpec": "specs",
+    "Fig5cSpec": "specs",
+    "RECORDER_POLICIES": "config",
+    "ResolvedRunConfig": "config",
+    "RunConfig": "config",
+    "RunResult": "session",
+    "Session": "session",
+    "Table1Spec": "specs",
+    "available_experiments": "spec",
+    "fingerprint": "config",
+    "get_experiment": "spec",
+    "make_spec": "spec",
+    "payload_to_jsonable": "session",
+    "register_experiment": "spec",
+    "spec_from_dict": "spec",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -20,13 +20,16 @@ registered experiment (property-tested in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import types
 import typing
 from typing import Any, ClassVar, Mapping, Optional, Type, Union
 
 import numpy as np
 
 from ..errors import ModelError
+from ..registry import Registry
 
 __all__ = [
     "ExperimentSpec",
@@ -124,6 +127,18 @@ def _coerce(value, hint):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _field_hints(spec_cls: type) -> tuple[frozenset, Mapping]:
+    """``(field names, resolved field type hints)`` of a spec class.
+
+    Resolved once per class: ``typing.get_type_hints`` re-evaluates
+    every string annotation, and a spec is decoded on every request.
+    The hints are shared by every caller, hence read-only.
+    """
+    names = frozenset(f.name for f in dataclasses.fields(spec_cls))
+    return names, types.MappingProxyType(typing.get_type_hints(spec_cls))
+
+
 # ---------------------------------------------------------------------------
 # the spec base class
 # ---------------------------------------------------------------------------
@@ -210,14 +225,13 @@ class ExperimentSpec:
             )
         if not isinstance(params, Mapping):
             raise ModelError(f"spec params must be a mapping, got {params!r}")
-        field_names = {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
+        field_names, hints = _field_hints(cls)
         unknown = sorted(set(params) - field_names)
         if unknown:
             raise ModelError(
                 f"unknown parameters {unknown} for experiment "
                 f"{cls.name!r}; expected a subset of {sorted(field_names)}"
             )
-        hints = typing.get_type_hints(cls)
         kwargs = {
             key: _coerce(value, hints.get(key)) for key, value in params.items()
         }
@@ -256,7 +270,23 @@ class ExperimentSpec:
 # the experiment registry
 # ---------------------------------------------------------------------------
 
-_EXPERIMENTS: dict[str, Type[ExperimentSpec]] = {}
+#: Every experiment name; the paper's specs live in
+#: :mod:`repro.api.specs`, imported on first lookup.
+_EXPERIMENTS = Registry(
+    "experiment",
+    "an experiment spec",
+    builtins={
+        "table1": "repro.api.specs:Table1Spec",
+        "fig2": "repro.api.specs:Fig2Spec",
+        "fig3": "repro.api.specs:Fig3Spec",
+        "fig4": "repro.api.specs:Fig4Spec",
+        "fig5ab": "repro.api.specs:Fig5abSpec",
+        "fig5c": "repro.api.specs:Fig5cSpec",
+        "deadline-frontier": "repro.api.specs:DeadlineFrontierSpec",
+        "budget-sweep": "repro.api.specs:BudgetSweepSpec",
+        "deadline-sweep": "repro.api.specs:DeadlineSweepSpec",
+    },
+)
 
 
 def register_experiment(
@@ -272,35 +302,21 @@ def register_experiment(
     serialized batches, future service endpoints.  Usable as a class
     decorator.
     """
-    key = name or spec_cls.name
-    if not key:
-        raise ModelError("an experiment spec needs a non-empty name")
     if not dataclasses.is_dataclass(spec_cls):
         raise ModelError(
             f"experiment spec {spec_cls!r} must be a dataclass"
         )
-    if key in _EXPERIMENTS and not replace:
-        raise ModelError(
-            f"experiment {key!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _EXPERIMENTS[key] = spec_cls
-    return spec_cls
+    return _EXPERIMENTS.register(name or spec_cls.name, spec_cls, replace)
 
 
 def get_experiment(name: str) -> Type[ExperimentSpec]:
     """Resolve a registered experiment name to its spec class."""
-    spec_cls = _EXPERIMENTS.get(name)
-    if spec_cls is None:
-        from ..errors import RegistryError
-
-        raise RegistryError.unknown("experiment", name, _EXPERIMENTS)
-    return spec_cls
+    return _EXPERIMENTS.lookup(name)
 
 
 def available_experiments() -> tuple[str, ...]:
     """Registered experiment names, sorted (CLI choices come from here)."""
-    return tuple(sorted(_EXPERIMENTS))
+    return _EXPERIMENTS.names()
 
 
 def make_spec(name: str, **params) -> ExperimentSpec:

@@ -1,6 +1,8 @@
 """Concrete experiment specs for every run path in the reproduction.
 
-One frozen dataclass per experiment; each ``run`` delegates to the
+One frozen dataclass per experiment, listed by name in the experiment
+registry (:mod:`repro.api.spec`), which imports this module on the
+first lookup of a built-in name.  Each ``run`` delegates to the
 implementation in :mod:`repro.experiments` (imported lazily — the api
 layer stays import-light and cycle-free) with execution strategy taken
 from the session's :class:`~repro.api.config.RunConfig`.  The legacy
@@ -19,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..errors import ModelError
 from ..workloads.scenarios import PAPER_BUDGETS
-from .spec import ExperimentSpec, register_experiment
+from .spec import ExperimentSpec
 
 __all__ = [
     "Table1Spec",
@@ -55,7 +57,6 @@ def _set(spec, **values) -> None:
         object.__setattr__(spec, key, value)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class Table1Spec(ExperimentSpec):
     """Table 1 / Fig. 1 motivation examples (no parameters)."""
@@ -74,7 +75,6 @@ class Table1Spec(ExperimentSpec):
         }
 
 
-@register_experiment
 @dataclass(frozen=True)
 class Fig2Spec(ExperimentSpec):
     """One Fig. 2 subplot: a (scenario, pricing-case) budget sweep."""
@@ -97,7 +97,6 @@ class Fig2Spec(ExperimentSpec):
         return _run_fig2(self, session.config)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class Fig3Spec(ExperimentSpec):
     """Worker arrival moments on the simulated platform (Fig. 3)."""
@@ -113,7 +112,6 @@ class Fig3Spec(ExperimentSpec):
         return _run_fig3(self, session.config)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class Fig4Spec(ExperimentSpec):
     """Reward vs latency + rate inference (Fig. 4, §5.2.2)."""
@@ -132,7 +130,6 @@ class Fig4Spec(ExperimentSpec):
         return _run_fig4(self, session.config)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class Fig5abSpec(ExperimentSpec):
     """Difficulty vs latency (Fig. 5(a)/(b))."""
@@ -157,7 +154,6 @@ class Fig5abSpec(ExperimentSpec):
         return _run_fig5ab(self, session.config)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class Fig5cSpec(ExperimentSpec):
     """OPT vs the equal-payment heuristic on the AMT workload (Fig. 5(c))."""
@@ -181,7 +177,6 @@ class Fig5cSpec(ExperimentSpec):
         return _run_fig5c(self, session.config)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class DeadlineFrontierSpec(ExperimentSpec):
     """Deadline–cost frontier on a Fig. 2 workload (the [29] dual)."""
@@ -211,7 +206,6 @@ class DeadlineFrontierSpec(ExperimentSpec):
         return _run_deadline_frontier(self, session.config)
 
 
-@register_experiment
 @dataclass(frozen=True)
 class BudgetSweepSpec(ExperimentSpec):
     """A generic strategy-vs-budget sweep over a *named* family.
@@ -272,7 +266,6 @@ class BudgetSweepSpec(ExperimentSpec):
         )
 
 
-@register_experiment
 @dataclass(frozen=True)
 class DeadlineSweepSpec(ExperimentSpec):
     """A generic deadline–cost sweep over a *named* family.

@@ -14,113 +14,61 @@
 * :mod:`~repro.core.tuner` — scenario-aware facade.
 """
 
-from .adaptive import AdaptiveTuner, MarketBelief, RoundOutcome
-from .deadline import (
-    DeadlineResult,
-    completion_probability,
-    latency_quantile,
-    latency_quantile_batch,
-    min_cost_for_deadline,
-    min_cost_for_deadline_sweep,
-)
-from .quality import (
-    QualityPlan,
-    majority_correct_probability,
-    plan_repetitions,
-    repetitions_for_quality,
-)
-from .baselines import (
-    biased_allocation,
-    rep_even_allocation,
-    task_even_allocation,
-    uniform_price_heuristic,
-)
-from .even_allocation import even_allocation
-from .exhaustive import (
-    exact_group_dp,
-    exhaustive_group_search,
-    exhaustive_latency_search,
-)
-from .heterogeneous import (
-    HAResult,
-    heterogeneous_algorithm,
-    heterogeneous_algorithm_sweep,
-)
-from .latency import (
-    erlang_max_constant,
-    expected_job_latency,
-    group_onhold_latency,
-    group_processing_latency,
-    sample_job_latencies,
-    simulate_job_latency,
-    surrogate_onhold_objective,
-)
-from .objectives import (
-    ObjectivePoint,
-    closeness,
-    objective_o1,
-    objective_o2,
-    utopia_point,
-    utopia_point_sweep,
-)
-from .problem import Allocation, HTuningProblem, Scenario, TaskGroup, TaskSpec
-from .repetition import (
-    budget_indexed_dp,
-    greedy_marginal_allocation,
-    repetition_algorithm,
-    repetition_algorithm_sweep,
-)
-from .tuner import STRATEGIES, SWEEP_STRATEGIES, Tuner, tune_budget_sweep
+from .._lazy import attach
 
-__all__ = [
-    "AdaptiveTuner",
-    "Allocation",
-    "DeadlineResult",
-    "MarketBelief",
-    "QualityPlan",
-    "RoundOutcome",
-    "completion_probability",
-    "latency_quantile",
-    "latency_quantile_batch",
-    "majority_correct_probability",
-    "min_cost_for_deadline",
-    "min_cost_for_deadline_sweep",
-    "plan_repetitions",
-    "repetitions_for_quality",
-    "HAResult",
-    "HTuningProblem",
-    "ObjectivePoint",
-    "STRATEGIES",
-    "SWEEP_STRATEGIES",
-    "Scenario",
-    "TaskGroup",
-    "TaskSpec",
-    "Tuner",
-    "tune_budget_sweep",
-    "biased_allocation",
-    "budget_indexed_dp",
-    "closeness",
-    "erlang_max_constant",
-    "even_allocation",
-    "exact_group_dp",
-    "exhaustive_group_search",
-    "exhaustive_latency_search",
-    "expected_job_latency",
-    "greedy_marginal_allocation",
-    "group_onhold_latency",
-    "group_processing_latency",
-    "heterogeneous_algorithm",
-    "heterogeneous_algorithm_sweep",
-    "objective_o1",
-    "objective_o2",
-    "rep_even_allocation",
-    "repetition_algorithm",
-    "repetition_algorithm_sweep",
-    "sample_job_latencies",
-    "simulate_job_latency",
-    "surrogate_onhold_objective",
-    "task_even_allocation",
-    "uniform_price_heuristic",
-    "utopia_point",
-    "utopia_point_sweep",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AdaptiveTuner": "adaptive",
+    "Allocation": "problem",
+    "DeadlineResult": "deadline",
+    "MarketBelief": "adaptive",
+    "QualityPlan": "quality",
+    "RoundOutcome": "adaptive",
+    "completion_probability": "deadline",
+    "latency_quantile": "deadline",
+    "latency_quantile_batch": "deadline",
+    "majority_correct_probability": "quality",
+    "min_cost_for_deadline": "deadline",
+    "min_cost_for_deadline_sweep": "deadline",
+    "plan_repetitions": "quality",
+    "repetitions_for_quality": "quality",
+    "HAResult": "heterogeneous",
+    "HTuningProblem": "problem",
+    "ObjectivePoint": "objectives",
+    "STRATEGIES": "tuner",
+    "SWEEP_STRATEGIES": "tuner",
+    "Scenario": "problem",
+    "TaskGroup": "problem",
+    "TaskSpec": "problem",
+    "Tuner": "tuner",
+    "tune_budget_sweep": "tuner",
+    "biased_allocation": "baselines",
+    "budget_indexed_dp": "repetition",
+    "closeness": "objectives",
+    "erlang_max_constant": "latency",
+    "even_allocation": "even_allocation",
+    "exact_group_dp": "exhaustive",
+    "exhaustive_group_search": "exhaustive",
+    "exhaustive_latency_search": "exhaustive",
+    "expected_job_latency": "latency",
+    "greedy_marginal_allocation": "repetition",
+    "group_onhold_latency": "latency",
+    "group_processing_latency": "latency",
+    "heterogeneous_algorithm": "heterogeneous",
+    "heterogeneous_algorithm_sweep": "heterogeneous",
+    "objective_o1": "objectives",
+    "objective_o2": "objectives",
+    "rep_even_allocation": "baselines",
+    "repetition_algorithm": "repetition",
+    "repetition_algorithm_sweep": "repetition",
+    "sample_job_latencies": "latency",
+    "simulate_job_latency": "latency",
+    "surrogate_onhold_objective": "latency",
+    "task_even_allocation": "baselines",
+    "uniform_price_heuristic": "baselines",
+    "utopia_point": "objectives",
+    "utopia_point_sweep": "objectives",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

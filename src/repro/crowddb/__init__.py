@@ -8,44 +8,29 @@
 * :mod:`~repro.crowddb.engine` — end-to-end tuned query execution.
 """
 
-from .aggregate import (
-    ComparisonQuestion,
-    CountQuestion,
-    PredicateQuestion,
-    aggregate_numeric,
-    majority_confidence,
-    majority_vote,
-)
-from .engine import CrowdQueryEngine, QueryOutcome
-from .operators import (
-    CategoryQuestion,
-    CrowdCount,
-    CrowdFilter,
-    CrowdGroupBy,
-    CrowdMax,
-    CrowdSort,
-    CrowdThresholdFilter,
-    CrowdTopK,
-)
-from .planner import CrowdQuery, PlannedQuestion
+from .._lazy import attach
 
-__all__ = [
-    "CategoryQuestion",
-    "ComparisonQuestion",
-    "CountQuestion",
-    "CrowdCount",
-    "CrowdFilter",
-    "CrowdGroupBy",
-    "CrowdMax",
-    "CrowdQuery",
-    "CrowdQueryEngine",
-    "CrowdSort",
-    "CrowdTopK",
-    "CrowdThresholdFilter",
-    "PlannedQuestion",
-    "PredicateQuestion",
-    "QueryOutcome",
-    "aggregate_numeric",
-    "majority_confidence",
-    "majority_vote",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CategoryQuestion": "operators",
+    "ComparisonQuestion": "aggregate",
+    "CountQuestion": "aggregate",
+    "CrowdCount": "operators",
+    "CrowdFilter": "operators",
+    "CrowdGroupBy": "operators",
+    "CrowdMax": "operators",
+    "CrowdQuery": "planner",
+    "CrowdQueryEngine": "engine",
+    "CrowdSort": "operators",
+    "CrowdTopK": "operators",
+    "CrowdThresholdFilter": "operators",
+    "PlannedQuestion": "planner",
+    "PredicateQuestion": "aggregate",
+    "QueryOutcome": "engine",
+    "aggregate_numeric": "aggregate",
+    "majority_confidence": "aggregate",
+    "majority_vote": "aggregate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -1,19 +1,18 @@
 """Crowd-powered database operators (the paper's motivating apps)."""
 
-from .count import CrowdCount, CrowdThresholdFilter
-from .filter import CrowdFilter
-from .groupby import CategoryQuestion, CrowdGroupBy
-from .max_ import CrowdMax
-from .sort import CrowdSort
-from .topk import CrowdTopK
+from ..._lazy import attach
 
-__all__ = [
-    "CategoryQuestion",
-    "CrowdCount",
-    "CrowdFilter",
-    "CrowdGroupBy",
-    "CrowdMax",
-    "CrowdSort",
-    "CrowdTopK",
-    "CrowdThresholdFilter",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "CategoryQuestion": "groupby",
+    "CrowdCount": "count",
+    "CrowdFilter": "filter",
+    "CrowdGroupBy": "groupby",
+    "CrowdMax": "max_",
+    "CrowdSort": "sort",
+    "CrowdTopK": "topk",
+    "CrowdThresholdFilter": "count",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -14,37 +14,27 @@ Results are executor-invariant by construction — the certification
 tests live under ``tests/exec/``.
 """
 
-from .base import (
-    DEFAULT_EXECUTOR,
-    ExecTask,
-    Executor,
-    SerialExecutor,
-    TaskOutcome,
-    available_executors,
-    get_executor,
-    register_executor,
-    resolve_executor,
-)
-from .asyncexec import AsyncExecutor
-from .process import ProcessExecutor
-from .shard import sharded_run_replications, split_replications
-from .worker import run_replication_shard, run_task_document, worker_main
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_EXECUTOR",
-    "ExecTask",
-    "Executor",
-    "SerialExecutor",
-    "TaskOutcome",
-    "AsyncExecutor",
-    "ProcessExecutor",
-    "available_executors",
-    "get_executor",
-    "register_executor",
-    "resolve_executor",
-    "sharded_run_replications",
-    "split_replications",
-    "run_replication_shard",
-    "run_task_document",
-    "worker_main",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_EXECUTOR": "base",
+    "ExecTask": "base",
+    "Executor": "base",
+    "SerialExecutor": "base",
+    "TaskOutcome": "base",
+    "AsyncExecutor": "asyncexec",
+    "ProcessExecutor": "process",
+    "available_executors": "base",
+    "get_executor": "base",
+    "register_executor": "base",
+    "resolve_executor": "base",
+    "sharded_run_replications": "shard",
+    "split_replications": "shard",
+    "run_replication_shard": "worker",
+    "run_task_document": "worker",
+    "worker_main": "worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

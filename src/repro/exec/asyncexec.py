@@ -42,7 +42,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from ..errors import ModelError
-from .base import Executor, register_executor, resolve_executor
+from .base import Executor, resolve_executor
 
 __all__ = ["AsyncExecutor"]
 
@@ -206,4 +206,5 @@ class AsyncExecutor(Executor):
             self._pool = None
 
 
-register_executor(AsyncExecutor())
+#: The instance the executor registry serves as ``"async"``.
+ASYNC_EXECUTOR = AsyncExecutor()

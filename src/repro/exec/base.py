@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from ..errors import ModelError, RegistryError, ReproError
+from ..errors import ModelError, ReproError
+from ..registry import Registry
 
 __all__ = [
     "ExecTask",
@@ -225,13 +226,23 @@ class SerialExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# the executor registry (mirrors engines / comparators / experiments)
+# the executor registry
 # ---------------------------------------------------------------------------
-
-_REGISTRY: dict = {}
 
 #: Name of the executor used when callers pass nothing.
 DEFAULT_EXECUTOR = "serial"
+
+#: Every executor name ``executor=`` accepts; the pool and the asyncio
+#: dispatcher are imported on first lookup.
+_REGISTRY = Registry(
+    "executor",
+    "an executor",
+    entries={"serial": SerialExecutor()},
+    builtins={
+        "process": "repro.exec.process:PROCESS_EXECUTOR",
+        "async": "repro.exec.asyncexec:ASYNC_EXECUTOR",
+    },
+)
 
 
 def register_executor(
@@ -242,16 +253,7 @@ def register_executor(
     Registered names are what ``RunConfig(executor=...)`` and
     ``repro run-many --executor`` accept.
     """
-    key = name or executor.name
-    if not key:
-        raise ModelError("an executor needs a non-empty name")
-    if key in _REGISTRY and not replace:
-        raise ModelError(
-            f"executor {key!r} is already registered; pass replace=True to "
-            "override"
-        )
-    _REGISTRY[key] = executor
-    return executor
+    return _REGISTRY.register(name or executor.name, executor, replace)
 
 
 def get_executor(executor: Union[str, Executor, None]) -> Executor:
@@ -265,13 +267,7 @@ def get_executor(executor: Union[str, Executor, None]) -> Executor:
         executor = DEFAULT_EXECUTOR
     if isinstance(executor, Executor):
         return executor
-    resolved = _REGISTRY.get(executor)
-    if resolved is None:
-        raise RegistryError.unknown(
-            "executor", executor, _REGISTRY,
-            hint="or an Executor instance",
-        )
-    return resolved
+    return _REGISTRY.lookup(executor, hint="or an Executor instance")
 
 
 _MISSING = object()
@@ -295,7 +291,4 @@ def resolve_executor(executor) -> Executor:
 
 def available_executors() -> tuple:
     """Registered executor names, sorted (CLI choices come from here)."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_executor(SerialExecutor())
+    return _REGISTRY.names()

@@ -44,7 +44,6 @@ from .base import (
     ExecTask,
     TaskOutcome,
     execute_task_inline,
-    register_executor,
 )
 from .worker import worker_main
 
@@ -543,4 +542,5 @@ class _Supervision:
         self.result_queue.close()
 
 
-register_executor(ProcessExecutor())
+#: The instance the executor registry serves as ``"process"``.
+PROCESS_EXECUTOR = ProcessExecutor()

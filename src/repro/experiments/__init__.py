@@ -1,69 +1,40 @@
 """Experiment harness regenerating every table/figure of the paper."""
 
-from .figures import (
-    FIG2_STRATEGIES,
-    Fig3Result,
-    Fig4Result,
-    Fig5abResult,
-    Fig5cResult,
-    MotivationResult,
-    deadline_frontier_experiment,
-    fig2_experiment,
-    fig3_experiment,
-    fig4_experiment,
-    fig5ab_experiment,
-    fig5c_experiment,
-    motivation_example_1,
-    motivation_example_2,
-)
-from .pareto import (
-    BudgetLatencyFrontier,
-    DeadlineCostFrontier,
-    DeadlineFrontierPoint,
-    FrontierPoint,
-    budget_latency_frontier,
-    deadline_cost_frontier,
-    min_budget_for_latency,
-)
-from .reporting import format_kv, format_series, format_table
-from .runner import (
-    DeadlineSweepResult,
-    SweepResult,
-    evaluate_allocation,
-    evaluate_allocation_with_ci,
-    run_budget_sweep,
-    run_deadline_sweep,
-)
+from .._lazy import attach
 
-__all__ = [
-    "BudgetLatencyFrontier",
-    "DeadlineCostFrontier",
-    "DeadlineFrontierPoint",
-    "DeadlineSweepResult",
-    "FIG2_STRATEGIES",
-    "FrontierPoint",
-    "Fig3Result",
-    "Fig4Result",
-    "Fig5abResult",
-    "Fig5cResult",
-    "MotivationResult",
-    "SweepResult",
-    "deadline_cost_frontier",
-    "deadline_frontier_experiment",
-    "evaluate_allocation",
-    "evaluate_allocation_with_ci",
-    "fig2_experiment",
-    "fig3_experiment",
-    "fig4_experiment",
-    "fig5ab_experiment",
-    "fig5c_experiment",
-    "budget_latency_frontier",
-    "format_kv",
-    "format_series",
-    "format_table",
-    "min_budget_for_latency",
-    "motivation_example_1",
-    "motivation_example_2",
-    "run_budget_sweep",
-    "run_deadline_sweep",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BudgetLatencyFrontier": "pareto",
+    "DeadlineCostFrontier": "pareto",
+    "DeadlineFrontierPoint": "pareto",
+    "DeadlineSweepResult": "runner",
+    "FIG2_STRATEGIES": "figures",
+    "FrontierPoint": "pareto",
+    "Fig3Result": "figures",
+    "Fig4Result": "figures",
+    "Fig5abResult": "figures",
+    "Fig5cResult": "figures",
+    "MotivationResult": "figures",
+    "SweepResult": "runner",
+    "deadline_cost_frontier": "pareto",
+    "deadline_frontier_experiment": "figures",
+    "evaluate_allocation": "runner",
+    "evaluate_allocation_with_ci": "runner",
+    "fig2_experiment": "figures",
+    "fig3_experiment": "figures",
+    "fig4_experiment": "figures",
+    "fig5ab_experiment": "figures",
+    "fig5c_experiment": "figures",
+    "budget_latency_frontier": "pareto",
+    "format_kv": "reporting",
+    "format_series": "reporting",
+    "format_table": "reporting",
+    "min_budget_for_latency": "pareto",
+    "motivation_example_1": "figures",
+    "motivation_example_2": "figures",
+    "run_budget_sweep": "runner",
+    "run_deadline_sweep": "runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

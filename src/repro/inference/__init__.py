@@ -8,21 +8,19 @@
   producing calibrated pricing models for the tuner.
 """
 
-from .linearity import LinearityFit, fit_linearity, paper_amt_rates
-from .mle import (
-    RateEstimate,
-    estimate_rate_fixed_period,
-    estimate_rate_random_period,
-)
-from .probe import ProbeSession, RateProbe
+from .._lazy import attach
 
-__all__ = [
-    "LinearityFit",
-    "ProbeSession",
-    "RateEstimate",
-    "RateProbe",
-    "estimate_rate_fixed_period",
-    "estimate_rate_random_period",
-    "fit_linearity",
-    "paper_amt_rates",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "LinearityFit": "linearity",
+    "ProbeSession": "probe",
+    "RateEstimate": "mle",
+    "RateProbe": "probe",
+    "estimate_rate_fixed_period": "mle",
+    "estimate_rate_random_period": "mle",
+    "fit_linearity": "linearity",
+    "paper_amt_rates": "linearity",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -12,96 +12,53 @@ Layers, bottom-up:
 * :mod:`~repro.market.platform` — requester-facing facade.
 """
 
-from .dynamics import (
-    ConstantRate,
-    NonstationaryWorkerPool,
-    PiecewiseRate,
-    RateProfile,
-    SinusoidalRate,
-    sample_arrival_times,
-)
-from .events import Event, EventKind, EventQueue
-from .persistence import (
-    TRACE_COLUMNS,
-    read_records_csv,
-    recorder_from_csv,
-    write_records_csv,
-)
-from .platform import CrowdPlatform, PublishRequest
-from .pricing import (
-    PAPER_FIG2_MODELS,
-    CallablePricing,
-    LinearPricing,
-    LogPricing,
-    PricingModel,
-    QuadraticPricing,
-    fig2_model,
-)
-from .retainer import RetainerCostModel, RetainerSimulator
-from .simulator import (
-    AgentSimulator,
-    AggregateSimulator,
-    AtomicTaskOrder,
-    JobResult,
-    MarketModel,
-)
-from .task import PublishedTask, TaskState, TaskType
-from .trace import (
-    NULL_RECORDER,
-    LatencySummary,
-    NullTraceRecorder,
-    TaskRecord,
-    TraceRecorder,
-)
-from .worker import (
-    ChoiceModel,
-    GreedyPriceChoice,
-    PriceProportionalChoice,
-    SoftmaxChoice,
-    WorkerPool,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AgentSimulator",
-    "AggregateSimulator",
-    "AtomicTaskOrder",
-    "CallablePricing",
-    "ChoiceModel",
-    "ConstantRate",
-    "CrowdPlatform",
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "GreedyPriceChoice",
-    "JobResult",
-    "LatencySummary",
-    "LinearPricing",
-    "LogPricing",
-    "MarketModel",
-    "NULL_RECORDER",
-    "NonstationaryWorkerPool",
-    "NullTraceRecorder",
-    "PAPER_FIG2_MODELS",
-    "PriceProportionalChoice",
-    "PricingModel",
-    "PiecewiseRate",
-    "RateProfile",
-    "PublishRequest",
-    "PublishedTask",
-    "RetainerCostModel",
-    "RetainerSimulator",
-    "QuadraticPricing",
-    "SinusoidalRate",
-    "SoftmaxChoice",
-    "TRACE_COLUMNS",
-    "TaskRecord",
-    "TaskState",
-    "TaskType",
-    "TraceRecorder",
-    "WorkerPool",
-    "fig2_model",
-    "read_records_csv",
-    "recorder_from_csv",
-    "sample_arrival_times",
-    "write_records_csv",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AgentSimulator": "simulator",
+    "AggregateSimulator": "simulator",
+    "AtomicTaskOrder": "simulator",
+    "CallablePricing": "pricing",
+    "ChoiceModel": "worker",
+    "ConstantRate": "dynamics",
+    "CrowdPlatform": "platform",
+    "Event": "events",
+    "EventKind": "events",
+    "EventQueue": "events",
+    "GreedyPriceChoice": "worker",
+    "JobResult": "simulator",
+    "LatencySummary": "trace",
+    "LinearPricing": "pricing",
+    "LogPricing": "pricing",
+    "MarketModel": "simulator",
+    "NULL_RECORDER": "trace",
+    "NonstationaryWorkerPool": "dynamics",
+    "NullTraceRecorder": "trace",
+    "PAPER_FIG2_MODELS": "pricing",
+    "PriceProportionalChoice": "worker",
+    "PricingModel": "pricing",
+    "PiecewiseRate": "dynamics",
+    "RateProfile": "dynamics",
+    "PublishRequest": "platform",
+    "PublishedTask": "task",
+    "RetainerCostModel": "retainer",
+    "RetainerSimulator": "retainer",
+    "QuadraticPricing": "pricing",
+    "SinusoidalRate": "dynamics",
+    "SoftmaxChoice": "worker",
+    "TRACE_COLUMNS": "persistence",
+    "TaskRecord": "trace",
+    "TaskState": "task",
+    "TaskType": "task",
+    "TraceRecorder": "trace",
+    "WorkerPool": "worker",
+    "fig2_model": "pricing",
+    "read_records_csv": "persistence",
+    "recorder_from_csv": "persistence",
+    "sample_arrival_times": "dynamics",
+    "write_records_csv": "persistence",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

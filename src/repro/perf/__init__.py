@@ -33,77 +33,42 @@ registry and :class:`~repro.workloads.families.ProblemFamily` layer
 fit together.
 """
 
-from .batch import (
-    BatchAggregateSimulator,
-    evaluate_allocations,
-    sample_job_latencies_batch,
-)
-from .cache import (
-    cached_hypoexponential_cdf,
-    cached_hypoexponential_sf,
-    clear_phase_caches,
-    configure_phase_cache,
-    phase_cache_stats,
-    shared_ladder_sf,
-    survival_weights,
-)
-from .deadline import (
-    DeadlineKernel,
-    available_deadline_comparators,
-    deadline_comparator_name,
-    deadline_quantile_bisection,
-    get_deadline_comparator,
-    register_deadline_comparator,
-)
-from .dp import (
-    budget_indexed_dp_fast,
-    budget_indexed_dp_sweep,
-    group_cost_table,
-    heterogeneous_closeness_sweep,
-    heterogeneous_price_scan,
-)
-from .engine import (
-    BatchEngine,
-    ChunkedBatchEngine,
-    EvaluationEngine,
-    ScalarEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-    resolve_engine,
-)
-from .market import AgentBatchEngine, batch_agent_run_replications
+from .._lazy import attach
 
-__all__ = [
-    "AgentBatchEngine",
-    "BatchAggregateSimulator",
-    "BatchEngine",
-    "ChunkedBatchEngine",
-    "DeadlineKernel",
-    "EvaluationEngine",
-    "ScalarEngine",
-    "available_deadline_comparators",
-    "available_engines",
-    "batch_agent_run_replications",
-    "budget_indexed_dp_fast",
-    "budget_indexed_dp_sweep",
-    "cached_hypoexponential_cdf",
-    "cached_hypoexponential_sf",
-    "clear_phase_caches",
-    "configure_phase_cache",
-    "deadline_comparator_name",
-    "deadline_quantile_bisection",
-    "evaluate_allocations",
-    "get_deadline_comparator",
-    "get_engine",
-    "group_cost_table",
-    "heterogeneous_closeness_sweep",
-    "heterogeneous_price_scan",
-    "phase_cache_stats",
-    "register_deadline_comparator",
-    "register_engine",
-    "resolve_engine",
-    "sample_job_latencies_batch",
-    "shared_ladder_sf",
-    "survival_weights",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AgentBatchEngine": "market",
+    "BatchAggregateSimulator": "batch",
+    "BatchEngine": "engine",
+    "ChunkedBatchEngine": "engine",
+    "DeadlineKernel": "deadline",
+    "EvaluationEngine": "engine",
+    "ScalarEngine": "engine",
+    "available_deadline_comparators": "deadline",
+    "available_engines": "engine",
+    "batch_agent_run_replications": "market",
+    "budget_indexed_dp_fast": "dp",
+    "budget_indexed_dp_sweep": "dp",
+    "cached_hypoexponential_cdf": "cache",
+    "cached_hypoexponential_sf": "cache",
+    "clear_phase_caches": "cache",
+    "configure_phase_cache": "cache",
+    "deadline_comparator_name": "deadline",
+    "deadline_quantile_bisection": "deadline",
+    "evaluate_allocations": "batch",
+    "get_deadline_comparator": "deadline",
+    "get_engine": "engine",
+    "group_cost_table": "dp",
+    "heterogeneous_closeness_sweep": "dp",
+    "heterogeneous_price_scan": "dp",
+    "phase_cache_stats": "cache",
+    "register_deadline_comparator": "deadline",
+    "register_engine": "engine",
+    "resolve_engine": "engine",
+    "sample_job_latencies_batch": "batch",
+    "shared_ladder_sf": "cache",
+    "survival_weights": "cache",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

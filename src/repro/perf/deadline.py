@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ModelError
+from ..registry import Registry
 from .cache import shared_ladder_sf, shared_ladder_sf_batch
 
 __all__ = [
@@ -499,21 +500,17 @@ def deadline_quantile_bisection(
 #: Name resolved when callers pass ``comparator=None``.
 DEFAULT_DEADLINE_COMPARATOR = "batched"
 
-_COMPARATORS: dict[str, Callable] = {}
-
-
-def _builtin_comparator(name: str) -> Optional[Callable]:
-    # Lazy so perf.deadline imports no core/experiment module at import
-    # time (the core comparator itself routes back through this module).
-    if name == "batched":
-        from ..core.deadline import min_cost_for_deadline
-
-        return min_cost_for_deadline
-    if name == "reference":
-        from .reference import reference_min_cost_for_deadline
-
-        return reference_min_cost_for_deadline
-    return None
+#: Comparator names; the built-ins are imported on first lookup (the
+#: batched one lives in :mod:`repro.core.deadline`, which routes back
+#: through this module).
+_COMPARATORS = Registry(
+    "deadline comparator",
+    "a deadline comparator",
+    builtins={
+        "batched": "repro.core.deadline:min_cost_for_deadline",
+        "reference": "repro.perf.reference:reference_min_cost_for_deadline",
+    },
+)
 
 
 def register_deadline_comparator(
@@ -526,17 +523,7 @@ def register_deadline_comparator(
     CLI ``deadline`` command) — the same string-resolution contract as
     the evaluation-engine registry.
     """
-    if not name:
-        raise ModelError("a deadline comparator needs a non-empty name")
-    if not replace and (
-        name in _COMPARATORS or _builtin_comparator(name) is not None
-    ):
-        raise ModelError(
-            f"deadline comparator {name!r} is already registered; pass "
-            "replace=True to override"
-        )
-    _COMPARATORS[name] = comparator
-    return comparator
+    return _COMPARATORS.register(name, comparator, replace)
 
 
 _MISSING = object()
@@ -576,19 +563,7 @@ def get_deadline_comparator(
         comparator = DEFAULT_DEADLINE_COMPARATOR
     if callable(comparator):
         return comparator
-    resolved = _COMPARATORS.get(comparator)
-    if resolved is None:
-        resolved = _builtin_comparator(comparator)
-    if resolved is None:
-        from ..errors import RegistryError
-
-        raise RegistryError.unknown(
-            "deadline comparator",
-            comparator,
-            available_deadline_comparators(),
-            hint="or a callable",
-        )
-    return resolved
+    return _COMPARATORS.lookup(comparator, hint="or a callable")
 
 
 def deadline_comparator_name(
@@ -611,4 +586,4 @@ def deadline_comparator_name(
 
 def available_deadline_comparators() -> tuple[str, ...]:
     """Registered comparator names (CLI choices come from here)."""
-    return tuple(sorted({"batched", "reference", *_COMPARATORS}))
+    return _COMPARATORS.names()

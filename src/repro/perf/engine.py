@@ -28,7 +28,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..errors import ModelError, RegistryError
+from ..errors import ModelError
+from ..registry import Registry
 from ..resilience.faults import active_fault_state, site_check
 from ..stats.rng import RandomState
 from ..stats.rng import ensure_rng as _ensure_rng
@@ -214,8 +215,17 @@ class ChunkedBatchEngine(BatchEngine):
             raise ModelError("ChunkedBatchEngine needs a chunk_rows value")
 
 
-#: Resolution order shown in CLI help / error messages.
-_REGISTRY: dict[str, EvaluationEngine] = {}
+#: Every engine name ``engine=`` accepts.  ``"agent-batch"`` lives
+#: with the agent simulator and is imported on first lookup.
+_REGISTRY = Registry(
+    "engine",
+    "an evaluation engine",
+    entries={
+        engine.name: engine
+        for engine in (ScalarEngine(), BatchEngine(), ChunkedBatchEngine())
+    },
+    builtins={"agent-batch": "repro.perf.market:AGENT_BATCH_ENGINE"},
+)
 
 #: Name of the engine used when callers pass nothing.
 DEFAULT_ENGINE = "scalar"
@@ -230,16 +240,7 @@ def register_engine(
     ``engine=`` parameter accept.  Pass ``replace=True`` to override an
     existing binding (e.g. to re-tune the default chunk size).
     """
-    key = name or engine.name
-    if not key:
-        raise ModelError("an evaluation engine needs a non-empty name")
-    if key in _REGISTRY and not replace:
-        raise ModelError(
-            f"engine {key!r} is already registered; pass replace=True to "
-            "override"
-        )
-    _REGISTRY[key] = engine
-    return engine
+    return _REGISTRY.register(name or engine.name, engine, replace)
 
 
 def get_engine(engine: Union[str, EvaluationEngine, None]) -> EvaluationEngine:
@@ -253,13 +254,7 @@ def get_engine(engine: Union[str, EvaluationEngine, None]) -> EvaluationEngine:
         engine = DEFAULT_ENGINE
     if isinstance(engine, EvaluationEngine):
         return engine
-    resolved = _REGISTRY.get(engine)
-    if resolved is None:
-        raise RegistryError.unknown(
-            "engine", engine, _REGISTRY,
-            hint="or an EvaluationEngine instance",
-        )
-    return resolved
+    return _REGISTRY.lookup(engine, hint="or an EvaluationEngine instance")
 
 
 _MISSING = object()
@@ -300,9 +295,4 @@ def resolve_engine(
 
 def available_engines() -> tuple[str, ...]:
     """Registered engine names, sorted (CLI choices come from here)."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_engine(ScalarEngine())
-register_engine(BatchEngine())
-register_engine(ChunkedBatchEngine())
+    return _REGISTRY.names()

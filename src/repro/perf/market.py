@@ -54,7 +54,7 @@ from ..market.worker import (
 )
 from ..resilience.faults import active_fault_state, site_check
 from ..stats.rng import ensure_rng
-from .engine import ScalarEngine, register_engine
+from .engine import ScalarEngine
 
 __all__ = ["AgentBatchEngine", "batch_agent_run_replications"]
 
@@ -661,4 +661,5 @@ class AgentBatchEngine(ScalarEngine):
         )
 
 
-register_engine(AgentBatchEngine())
+#: The instance the engine registry serves as ``"agent-batch"``.
+AGENT_BATCH_ENGINE = AgentBatchEngine()

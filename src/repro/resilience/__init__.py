@@ -22,42 +22,30 @@ by the ``session_resilience`` section of
 ``benchmarks/bench_perf_engine.py``.
 """
 
-from .batch import BatchReport, SpecOutcome
-from .checkpoint import CheckpointJournal
-from .document import ErrorDocument
-from .faults import (
-    FAULT_SITES,
-    FaultPlan,
-    FaultRule,
-    abandonment_hook,
-    active_fault_state,
-    available_fault_plans,
-    get_fault_plan,
-    register_fault_plan,
-    resolve_fault_plan,
-    runtime_scope,
-    site_check,
-)
-from .policy import DEFAULT_RETRY, ExecutionRecord, RetryPolicy, TimeoutPolicy
+from .._lazy import attach
 
-__all__ = [
-    "BatchReport",
-    "SpecOutcome",
-    "CheckpointJournal",
-    "ErrorDocument",
-    "FAULT_SITES",
-    "FaultPlan",
-    "FaultRule",
-    "abandonment_hook",
-    "active_fault_state",
-    "available_fault_plans",
-    "get_fault_plan",
-    "register_fault_plan",
-    "resolve_fault_plan",
-    "runtime_scope",
-    "site_check",
-    "DEFAULT_RETRY",
-    "ExecutionRecord",
-    "RetryPolicy",
-    "TimeoutPolicy",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BatchReport": "batch",
+    "SpecOutcome": "batch",
+    "CheckpointJournal": "checkpoint",
+    "ErrorDocument": "document",
+    "FAULT_SITES": "faults",
+    "FaultPlan": "faults",
+    "FaultRule": "faults",
+    "abandonment_hook": "faults",
+    "active_fault_state": "faults",
+    "available_fault_plans": "faults",
+    "get_fault_plan": "faults",
+    "register_fault_plan": "faults",
+    "resolve_fault_plan": "faults",
+    "runtime_scope": "faults",
+    "site_check": "faults",
+    "DEFAULT_RETRY": "policy",
+    "ExecutionRecord": "policy",
+    "RetryPolicy": "policy",
+    "TimeoutPolicy": "policy",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -17,36 +17,25 @@ asyncio streams, compute dispatch rides the ``"async"`` executor
 via the ``serve.request`` / ``serve.backend`` fault sites.
 """
 
-from .backend import ExecutorBackend, ServiceBackend
-from .loadgen import (
-    DEFAULT_MIX,
-    LoadReport,
-    ScheduledRequest,
-    build_schedule,
-    http_request,
-    run_load,
-)
-from .market import DEFAULT_MARKET_BUDGET, LiveMarket
-from .service import (
-    ReproService,
-    ServiceHandle,
-    serve_forever,
-    start_in_thread,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ReproService",
-    "ServiceHandle",
-    "ServiceBackend",
-    "ExecutorBackend",
-    "LiveMarket",
-    "DEFAULT_MARKET_BUDGET",
-    "ScheduledRequest",
-    "LoadReport",
-    "DEFAULT_MIX",
-    "build_schedule",
-    "run_load",
-    "http_request",
-    "serve_forever",
-    "start_in_thread",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ReproService": "service",
+    "ServiceHandle": "service",
+    "ServiceBackend": "backend",
+    "ExecutorBackend": "backend",
+    "LiveMarket": "market",
+    "DEFAULT_MARKET_BUDGET": "market",
+    "ScheduledRequest": "loadgen",
+    "LoadReport": "loadgen",
+    "DEFAULT_MIX": "loadgen",
+    "build_schedule": "loadgen",
+    "run_load": "loadgen",
+    "http_request": "loadgen",
+    "serve_forever": "service",
+    "start_in_thread": "service",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -11,56 +11,36 @@ Public surface:
 * rng — seed normalization and substream spawning.
 """
 
-from .convolution import convolve_cdf, convolve_densities, convolve_pdf, grid_for
-from .distributions import (
-    Deterministic,
-    Distribution,
-    Erlang,
-    Exponential,
-    Hypoexponential,
-    MaximumOf,
-    SumOf,
-    two_phase_latency,
-)
-from .phase_type import (
-    hypoexponential_cdf,
-    hypoexponential_mean,
-    hypoexponential_sf,
-)
-from .order_statistics import (
-    expected_max_erlang_iid,
-    expected_max_exponential,
-    expected_max_exponential_iid,
-    expected_maximum_generic,
-    expected_min_exponential,
-    harmonic_number,
-)
-from .rng import RandomState, ensure_rng, replication_seeds, spawn
+from .._lazy import attach
 
-__all__ = [
-    "Deterministic",
-    "Distribution",
-    "Erlang",
-    "Exponential",
-    "Hypoexponential",
-    "MaximumOf",
-    "RandomState",
-    "SumOf",
-    "convolve_cdf",
-    "convolve_densities",
-    "convolve_pdf",
-    "ensure_rng",
-    "expected_max_erlang_iid",
-    "expected_max_exponential",
-    "expected_max_exponential_iid",
-    "expected_maximum_generic",
-    "expected_min_exponential",
-    "grid_for",
-    "harmonic_number",
-    "hypoexponential_cdf",
-    "hypoexponential_mean",
-    "hypoexponential_sf",
-    "replication_seeds",
-    "spawn",
-    "two_phase_latency",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Deterministic": "distributions",
+    "Distribution": "distributions",
+    "Erlang": "distributions",
+    "Exponential": "distributions",
+    "Hypoexponential": "distributions",
+    "MaximumOf": "distributions",
+    "RandomState": "rng",
+    "SumOf": "distributions",
+    "convolve_cdf": "convolution",
+    "convolve_densities": "convolution",
+    "convolve_pdf": "convolution",
+    "ensure_rng": "rng",
+    "expected_max_erlang_iid": "order_statistics",
+    "expected_max_exponential": "order_statistics",
+    "expected_max_exponential_iid": "order_statistics",
+    "expected_maximum_generic": "order_statistics",
+    "expected_min_exponential": "order_statistics",
+    "grid_for": "convolution",
+    "harmonic_number": "order_statistics",
+    "hypoexponential_cdf": "phase_type",
+    "hypoexponential_mean": "phase_type",
+    "hypoexponential_sf": "phase_type",
+    "replication_seeds": "rng",
+    "spawn": "rng",
+    "two_phase_latency": "distributions",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

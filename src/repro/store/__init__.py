@@ -13,15 +13,18 @@ stored.  See ``docs/robustness.md`` ("Result store failure modes")
 for the failure-mode contract.
 """
 
-from .envelope import SCHEMA_VERSION, current_envelope, registry_contents_hash
-from .store import ResultStore, StoreLookup, VerifyReport, resolve_store
+from .._lazy import attach
 
-__all__ = [
-    "ResultStore",
-    "StoreLookup",
-    "VerifyReport",
-    "resolve_store",
-    "SCHEMA_VERSION",
-    "current_envelope",
-    "registry_contents_hash",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ResultStore": "store",
+    "StoreLookup": "store",
+    "VerifyReport": "store",
+    "resolve_store": "store",
+    "SCHEMA_VERSION": "envelope",
+    "current_envelope": "envelope",
+    "registry_contents_hash": "envelope",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -1,61 +1,36 @@
 """Workload factories: the paper's §5 settings and stress families."""
 
-from .amt import (
-    AMT_VOTE_ATTRACTIVENESS,
-    AMT_VOTE_PROCESSING_SECONDS,
-    amt_market,
-    amt_pricing_model,
-    amt_task_type,
-    amt_worker_pool,
-)
-from .families import (
-    ProblemFamily,
-    as_problem_family,
-    available_families,
-    get_family_builder,
-    heterogeneous_family,
-    homogeneity_family,
-    register_family,
-    repetition_family,
-    scenario_family,
-)
-from .generators import many_groups_problem, random_problem, skewed_repetition_problem
-from .scenarios import (
-    PAPER_BUDGETS,
-    heterogeneous_tasks,
-    heterogeneous_workload,
-    homogeneity_tasks,
-    homogeneity_workload,
-    repetition_tasks,
-    repetition_workload,
-    scenario_workload,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AMT_VOTE_ATTRACTIVENESS",
-    "AMT_VOTE_PROCESSING_SECONDS",
-    "PAPER_BUDGETS",
-    "ProblemFamily",
-    "amt_market",
-    "amt_pricing_model",
-    "amt_task_type",
-    "amt_worker_pool",
-    "as_problem_family",
-    "available_families",
-    "get_family_builder",
-    "heterogeneous_family",
-    "heterogeneous_tasks",
-    "heterogeneous_workload",
-    "homogeneity_family",
-    "homogeneity_tasks",
-    "homogeneity_workload",
-    "many_groups_problem",
-    "random_problem",
-    "register_family",
-    "repetition_family",
-    "repetition_tasks",
-    "repetition_workload",
-    "scenario_family",
-    "scenario_workload",
-    "skewed_repetition_problem",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AMT_VOTE_ATTRACTIVENESS": "amt",
+    "AMT_VOTE_PROCESSING_SECONDS": "amt",
+    "PAPER_BUDGETS": "scenarios",
+    "ProblemFamily": "families",
+    "amt_market": "amt",
+    "amt_pricing_model": "amt",
+    "amt_task_type": "amt",
+    "amt_worker_pool": "amt",
+    "as_problem_family": "families",
+    "available_families": "families",
+    "get_family_builder": "families",
+    "heterogeneous_family": "families",
+    "heterogeneous_tasks": "scenarios",
+    "heterogeneous_workload": "scenarios",
+    "homogeneity_family": "families",
+    "homogeneity_tasks": "scenarios",
+    "homogeneity_workload": "scenarios",
+    "many_groups_problem": "generators",
+    "random_problem": "generators",
+    "register_family": "families",
+    "repetition_family": "families",
+    "repetition_tasks": "scenarios",
+    "repetition_workload": "scenarios",
+    "scenario_family": "families",
+    "scenario_workload": "scenarios",
+    "skewed_repetition_problem": "generators",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

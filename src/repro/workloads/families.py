@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.problem import HTuningProblem, TaskGroup, TaskSpec
 from ..errors import ModelError
+from ..registry import Registry
 from .scenarios import (
     heterogeneous_tasks,
     homogeneity_tasks,
@@ -210,11 +211,15 @@ def heterogeneous_family(
 #: specs, the CLI): a registered name is a serializable address for a
 #: :class:`ProblemFamily`, the same contract the engine and comparator
 #: registries provide for execution strategies.
-_FAMILY_REGISTRY: dict[str, Callable[..., ProblemFamily]] = {
-    "homo": homogeneity_family,
-    "repe": repetition_family,
-    "heter": heterogeneous_family,
-}
+_FAMILY_REGISTRY = Registry(
+    "family",
+    "a problem family",
+    entries={
+        "homo": homogeneity_family,
+        "repe": repetition_family,
+        "heter": heterogeneous_family,
+    },
+)
 
 
 def register_family(
@@ -231,30 +236,17 @@ def register_family(
     time, so registering a family makes it addressable from serialized
     specs and the generic CLI.
     """
-    if not name:
-        raise ModelError("a problem family needs a non-empty name")
-    if name in _FAMILY_REGISTRY and not replace:
-        raise ModelError(
-            f"family {name!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _FAMILY_REGISTRY[name] = builder
-    return builder
+    return _FAMILY_REGISTRY.register(name, builder, replace)
 
 
 def get_family_builder(name: str) -> Callable[..., ProblemFamily]:
     """Resolve a registered family name to its builder."""
-    builder = _FAMILY_REGISTRY.get(name)
-    if builder is None:
-        from ..errors import RegistryError
-
-        raise RegistryError.unknown("family", name, _FAMILY_REGISTRY)
-    return builder
+    return _FAMILY_REGISTRY.lookup(name)
 
 
 def available_families() -> tuple[str, ...]:
     """Registered family names, sorted (spec/CLI choices come from here)."""
-    return tuple(sorted(_FAMILY_REGISTRY))
+    return _FAMILY_REGISTRY.names()
 
 
 def scenario_family(scenario: str, case: str = "a", **kwargs) -> ProblemFamily:

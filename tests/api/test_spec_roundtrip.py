@@ -11,6 +11,7 @@ Covers **every** registered experiment twice over:
 from __future__ import annotations
 
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from repro.api import (
     register_experiment,
     spec_from_dict,
 )
+from repro.api.spec import _coerce, _field_hints
 from repro.errors import ModelError
 
 
@@ -47,6 +49,27 @@ class TestEveryRegisteredExperiment:
         restored = _json_round_trip(spec)
         assert restored == spec
         assert type(restored) is type(spec)
+
+    @pytest.mark.parametrize("name", available_experiments())
+    def test_cached_hints_decode_like_fresh_ones(self, name):
+        # from_dict resolves a class's type hints once and reuses them;
+        # decoding must give what resolving them afresh gives.
+        spec_cls = get_experiment(name)
+        hints = typing.get_type_hints(spec_cls)
+        assert _field_hints(spec_cls)[1] == hints
+        doc = json.loads(json.dumps(spec_cls().to_dict()))
+        fresh = spec_cls(
+            **{k: _coerce(v, hints.get(k)) for k, v in doc["params"].items()}
+        )
+        first = ExperimentSpec.from_dict(doc)
+        assert first == ExperimentSpec.from_dict(doc) == fresh
+        # Strictness rides on the cached hints too: a bool is no int.
+        for field, hint in hints.items():
+            if hint is int:
+                with pytest.raises(ModelError, match="expected an int"):
+                    ExperimentSpec.from_dict(
+                        {"experiment": name, "params": {field: True}}
+                    )
 
     @pytest.mark.parametrize("name", available_experiments())
     def test_to_dict_shape(self, name):

@@ -1,11 +1,13 @@
-"""Start-up cost guard: the public entry points never import scipy.
+"""Start-up cost guard: entry points load only what their path runs.
 
 scipy serves only side paths (probe-inference confidence intervals,
 numeric ``E[max]`` quadrature), so those functions import it lazily
 and every fresh process — ``repro serve``, a CLI run, a spawn-started
-worker — skips its ~1 s import until a call needs it.  Each check runs
-in a fresh interpreter, because the test process itself has long since
-imported scipy.
+worker — skips its ~1 s import until a call needs it.  Likewise every
+package ``__init__`` re-exports lazily, so building a ``Session`` or a
+``LiveMarket`` loads no executor, HTTP or simulator module.  Each
+check runs in a fresh interpreter, because the test process itself has
+long since imported all of them.
 """
 
 from __future__ import annotations
@@ -53,6 +55,58 @@ def test_entry_point_does_not_import_scipy(entry):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert out.strip() == "[]", f"{entry!r} imported {out.strip()}"
+
+
+#: Modules (and packages, with everything under them) that a library
+#: caller building a ``Session`` or pricing on a ``LiveMarket`` never runs.
+LIGHT_PATH_EXCLUDES = (
+    "asyncio",
+    "repro.exec",
+    "repro.serve.service",
+    "repro.serve.backend",
+    "repro.serve.loadgen",
+    "repro.market.platform",
+    "repro.market.simulator",
+    "repro.market.persistence",
+    "repro.market.retainer",
+    "repro.crowddb",
+)
+
+
+def loaded_from(entry: str, excluded) -> list:
+    """Which of *excluded* (or their submodules) *entry* loads."""
+    out = run_fresh(
+        f"{entry}\nimport json, sys\n"
+        f"excluded = {tuple(excluded)!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if any("
+        "m == e or m.startswith(e + '.') for e in excluded))))"
+    )
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "from repro.api import Session; Session()",
+        "from repro.serve import LiveMarket",
+    ],
+)
+def test_library_entry_points_stay_light(entry):
+    assert loaded_from(entry, LIGHT_PATH_EXCLUDES) == []
+
+
+def test_serve_command_path_skips_loadgen_and_platform():
+    # The imports ``repro serve`` makes before it binds the socket.
+    entry = (
+        "import asyncio\n"
+        "from repro.cli import main\n"
+        "from repro.serve import DEFAULT_MARKET_BUDGET, ReproService, "
+        "serve_forever\n"
+        "ReproService()"
+    )
+    assert loaded_from(
+        entry, ("repro.serve.loadgen", "repro.market.platform")
+    ) == []
 
 
 def test_lazy_scipy_paths_return_seed_values():
