@@ -11,7 +11,6 @@ Subpackages:
 * :mod:`repro.perf` — batched, cache-aware evaluation engine (batch
   Monte-Carlo samplers, phase-kernel caches, array-based DP sweeps;
   see ``docs/performance.md``);
-* :mod:`repro.crowddb` — crowd-powered DB operators + tuned engine;
 * :mod:`repro.workloads` — the paper's workloads and stress families;
 * :mod:`repro.experiments` — per-figure experiment harness;
 * :mod:`repro.api` — the declarative request/response facade:

@@ -561,7 +561,9 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         service.close()
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], None]] = {
+#: The legacy per-experiment shorthands, in paper order: what
+#: ``repro list`` prints and ``repro all`` runs.
+_EXPERIMENT_COMMANDS: dict[str, Callable[[argparse.Namespace], None]] = {
     "table1": _cmd_table1,
     "fig2": _cmd_fig2,
     "fig3": _cmd_fig3,
@@ -569,6 +571,10 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], None]] = {
     "fig5ab": _cmd_fig5ab,
     "fig5c": _cmd_fig5c,
     "deadline": _cmd_deadline,
+}
+
+_COMMANDS: dict[str, Callable[[argparse.Namespace], None]] = {
+    **_EXPERIMENT_COMMANDS,
     "run": _cmd_run,
     "run-many": _cmd_run_many,
     "results": _cmd_results,
@@ -931,25 +937,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in sorted(
-            set(_COMMANDS) - {"run", "run-many", "results", "experiments"}
-        ):
+        for name in _EXPERIMENT_COMMANDS:
             print(name)
         return 0
     if args.command == "all":
         defaults = build_parser()
-        for name in ("table1", "fig3", "fig4", "fig5ab", "fig5c"):
-            print(f"===== {name} =====")
-            _COMMANDS[name](defaults.parse_args(["--seed", str(args.seed), name]))
-            print()
-        for scenario in ("homo", "repe", "heter"):
-            print(f"===== fig2 {scenario}(a) =====")
-            _COMMANDS["fig2"](
-                defaults.parse_args(
-                    ["--seed", str(args.seed), "fig2", "--scenario", scenario]
-                )
-            )
-            print()
+        for name, command in _EXPERIMENT_COMMANDS.items():
+            scenarios = ("homo", "repe", "heter") if name == "fig2" else ("",)
+            for scenario in scenarios:
+                argv, title = ["--seed", str(args.seed), name], name
+                if scenario:
+                    argv += ["--scenario", scenario]
+                    title += f" {scenario}(a)"
+                print(f"===== {title} =====")
+                command(defaults.parse_args(argv))
+                print()
         return 0
     try:
         _COMMANDS[args.command](args)

@@ -2,8 +2,8 @@
 
 :class:`Tuner` picks the paper's algorithm matching the instance's
 scenario (EA for I, RA for II, HA for III — §4), or runs a named
-strategy on demand.  This is the one-call entry point the examples and
-the crowd-DB engine use:
+strategy on demand.  This is the one-call entry point the examples
+use:
 
 >>> from repro import Tuner, HTuningProblem
 >>> allocation = Tuner().tune(problem)          # doctest: +SKIP

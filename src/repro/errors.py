@@ -213,7 +213,7 @@ class RemoteTaskError(ReproError, RuntimeError):
 
 
 class PlanError(ReproError, ValueError):
-    """Raised when a crowd-DB query plan is malformed or unexecutable."""
+    """Raised when a quality plan is malformed or unreachable."""
 
     code = "plan-invalid"
 

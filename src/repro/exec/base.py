@@ -242,6 +242,9 @@ _REGISTRY = Registry(
         "process": "repro.exec.process:PROCESS_EXECUTOR",
         "async": "repro.exec.asyncexec:ASYNC_EXECUTOR",
     },
+    keyword="executor",
+    default=DEFAULT_EXECUTOR,
+    accepts=Executor,
 )
 
 
@@ -260,33 +263,21 @@ def get_executor(executor: Union[str, Executor, None]) -> Executor:
     """Resolve an ``executor=`` argument to an :class:`Executor`.
 
     Accepts an executor instance (returned as-is), a registered name,
-    or ``None`` (the default serial executor).  Unknown names raise
-    :class:`~repro.errors.RegistryError` with a did-you-mean hint.
+    ``None`` (the default serial executor) or a config object exposing
+    an ``executor`` attribute (:class:`repro.api.RunConfig`).  Unknown
+    names raise :class:`~repro.errors.RegistryError` with a
+    did-you-mean hint.
     """
-    if executor is None:
-        executor = DEFAULT_EXECUTOR
-    if isinstance(executor, Executor):
-        return executor
-    return _REGISTRY.lookup(executor, hint="or an Executor instance")
-
-
-_MISSING = object()
+    return _REGISTRY.resolve(executor)
 
 
 def resolve_executor(executor) -> Executor:
-    """The single place ``executor=`` defaulting happens.
+    """The ``executor=`` resolution every call site uses.
 
-    Accepts everything :func:`get_executor` does **plus** a config
-    object exposing an ``executor`` attribute
-    (:class:`repro.api.RunConfig`) — same unwrap contract as
+    The same as :func:`get_executor`, with the same unwrap contract as
     :func:`repro.perf.engine.resolve_engine`.
     """
-    if executor is None or isinstance(executor, (str, Executor)):
-        return get_executor(executor)
-    inner = getattr(executor, "executor", _MISSING)
-    if inner is not _MISSING:
-        return get_executor(inner)
-    return get_executor(executor)
+    return _REGISTRY.resolve(executor)
 
 
 def available_executors() -> tuple:

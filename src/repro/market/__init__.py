@@ -42,22 +42,16 @@ _EXPORTS = {
     "RateProfile": "dynamics",
     "PublishRequest": "platform",
     "PublishedTask": "task",
-    "RetainerCostModel": "retainer",
-    "RetainerSimulator": "retainer",
     "QuadraticPricing": "pricing",
     "SinusoidalRate": "dynamics",
     "SoftmaxChoice": "worker",
-    "TRACE_COLUMNS": "persistence",
     "TaskRecord": "trace",
     "TaskState": "task",
     "TaskType": "task",
     "TraceRecorder": "trace",
     "WorkerPool": "worker",
     "fig2_model": "pricing",
-    "read_records_csv": "persistence",
-    "recorder_from_csv": "persistence",
     "sample_arrival_times": "dynamics",
-    "write_records_csv": "persistence",
 }
 
 __all__ = list(_EXPORTS)

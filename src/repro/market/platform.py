@@ -3,9 +3,8 @@
 :class:`CrowdPlatform` is the requester-facing API: publish a batch of
 atomic tasks with an allocation of unit payments, wait for completion,
 collect answers and latency measurements.  It hides which engine
-(aggregate or agent) backs the market, which is how the rest of the
-library stays engine-agnostic — the crowd-DB operators and the
-experiment harness both talk only to this class.
+(aggregate, agent or batch) backs the market, so a caller's code is
+the same for every engine.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class CrowdPlatform:
         ``"agent"`` (explicit worker stream; requires *pool*), or
         ``"batch"`` (:class:`repro.perf.batch.BatchAggregateSimulator`
         — the aggregate model with every phase drawn as one vector;
-        answers included, so crowd-DB queries can leave the scalar
+        answers included, so answer-carrying payloads can leave the scalar
         event loop.  Deterministic per seed but not stream-compatible
         with ``"aggregate"``).
     pool:

@@ -159,7 +159,7 @@ class BatchAggregateSimulator:
     scalar stream and is rejected there.  :meth:`run_job` is the
     answer-capable single-realization entry point: it draws every
     phase of the job as one vector, then samples answers in task
-    order, so crowd-DB queries and quality-aware payloads can leave
+    order, so answer-carrying and quality-aware payloads can leave
     the scalar event loop (its RNG stream layout is its own — it is
     deterministic seed-for-seed but not stream-compatible with
     :class:`~repro.market.simulator.AggregateSimulator`).

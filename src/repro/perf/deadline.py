@@ -38,7 +38,8 @@ same float operations as the scalar one-shot evaluation.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Union
+from collections.abc import Callable
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -510,6 +511,9 @@ _COMPARATORS = Registry(
         "batched": "repro.core.deadline:min_cost_for_deadline",
         "reference": "repro.perf.reference:reference_min_cost_for_deadline",
     },
+    keyword="comparator",
+    default=DEFAULT_DEADLINE_COMPARATOR,
+    accepts=Callable,
 )
 
 
@@ -526,25 +530,6 @@ def register_deadline_comparator(
     return _COMPARATORS.register(name, comparator, replace)
 
 
-_MISSING = object()
-
-
-def _unwrap_comparator(comparator):
-    """Pull the ``comparator`` field out of a config-like object.
-
-    Mirrors :func:`repro.perf.engine._unwrap_engine`: strings, ``None``
-    and callables pass through; an object exposing a ``comparator``
-    attribute (:class:`repro.api.RunConfig`) contributes that attribute
-    instead, so every ``comparator=`` parameter accepts a run config.
-    """
-    if comparator is None or isinstance(comparator, str) or callable(comparator):
-        return comparator
-    inner = getattr(comparator, "comparator", _MISSING)
-    if inner is not _MISSING:
-        return inner
-    return comparator
-
-
 def get_deadline_comparator(
     comparator: Union[str, Callable, None, object],
 ) -> Callable:
@@ -554,16 +539,11 @@ def get_deadline_comparator(
     (the ``"batched"`` default), or a config object exposing a
     ``comparator`` attribute (:class:`repro.api.RunConfig`).  Every
     comparator has the
-    :func:`repro.core.deadline.min_cost_for_deadline` signature.  This
-    is the single place comparator defaulting happens — the dual of
-    :func:`repro.perf.engine.resolve_engine`.
+    :func:`repro.core.deadline.min_cost_for_deadline` signature.
+    Defaulting happens in :meth:`repro.registry.Registry.resolve`, as
+    for :func:`repro.perf.engine.resolve_engine`.
     """
-    comparator = _unwrap_comparator(comparator)
-    if comparator is None:
-        comparator = DEFAULT_DEADLINE_COMPARATOR
-    if callable(comparator):
-        return comparator
-    return _COMPARATORS.lookup(comparator, hint="or a callable")
+    return _COMPARATORS.resolve(comparator)
 
 
 def deadline_comparator_name(
@@ -576,7 +556,7 @@ def deadline_comparator_name(
     falls back to its ``__name__`` (or ``"custom"``).  Accepts config
     objects exactly as :func:`get_deadline_comparator` does.
     """
-    comparator = _unwrap_comparator(comparator)
+    comparator = _COMPARATORS.unwrap(comparator)
     if comparator is None:
         return DEFAULT_DEADLINE_COMPARATOR
     if isinstance(comparator, str):

@@ -215,6 +215,9 @@ class ChunkedBatchEngine(BatchEngine):
             raise ModelError("ChunkedBatchEngine needs a chunk_rows value")
 
 
+#: Name of the engine used when callers pass nothing.
+DEFAULT_ENGINE = "scalar"
+
 #: Every engine name ``engine=`` accepts.  ``"agent-batch"`` lives
 #: with the agent simulator and is imported on first lookup.
 _REGISTRY = Registry(
@@ -225,10 +228,10 @@ _REGISTRY = Registry(
         for engine in (ScalarEngine(), BatchEngine(), ChunkedBatchEngine())
     },
     builtins={"agent-batch": "repro.perf.market:AGENT_BATCH_ENGINE"},
+    keyword="engine",
+    default=DEFAULT_ENGINE,
+    accepts=EvaluationEngine,
 )
-
-#: Name of the engine used when callers pass nothing.
-DEFAULT_ENGINE = "scalar"
 
 
 def register_engine(
@@ -246,51 +249,25 @@ def register_engine(
 def get_engine(engine: Union[str, EvaluationEngine, None]) -> EvaluationEngine:
     """Resolve an ``engine=`` argument to an :class:`EvaluationEngine`.
 
-    Accepts an engine instance (returned as-is), a registered name, or
-    ``None`` (the default engine).  Unknown names raise
-    :class:`~repro.errors.RegistryError` listing what is available.
+    Accepts an engine instance (returned as-is), a registered name,
+    ``None`` (the default engine) or a config object exposing an
+    ``engine`` attribute (:class:`repro.api.RunConfig`).  Unknown names
+    raise :class:`~repro.errors.RegistryError` listing what is
+    available.
     """
-    if engine is None:
-        engine = DEFAULT_ENGINE
-    if isinstance(engine, EvaluationEngine):
-        return engine
-    return _REGISTRY.lookup(engine, hint="or an EvaluationEngine instance")
-
-
-_MISSING = object()
-
-
-def _unwrap_engine(engine):
-    """Pull the ``engine`` field out of a config-like object.
-
-    Strings, ``None`` and engine instances pass through unchanged; any
-    other object carrying an ``engine`` attribute (a
-    :class:`repro.api.RunConfig`, or anything structurally like one)
-    contributes that attribute instead.  Centralizing the unwrap here
-    means every ``engine=`` parameter in the library accepts a run
-    config directly.
-    """
-    if engine is None or isinstance(engine, (str, EvaluationEngine)):
-        return engine
-    inner = getattr(engine, "engine", _MISSING)
-    if inner is not _MISSING:
-        return inner
-    return engine
+    return _REGISTRY.resolve(engine)
 
 
 def resolve_engine(
     engine: Union[str, EvaluationEngine, None, object],
 ) -> EvaluationEngine:
-    """The single place ``engine=`` defaulting happens.
+    """The ``engine=`` resolution every call site in the library uses.
 
-    Accepts everything :func:`get_engine` does **plus** a config
-    object exposing an ``engine`` attribute
-    (:class:`repro.api.RunConfig`); ``None`` — directly or inside the
-    config — resolves to :data:`DEFAULT_ENGINE`.  Every ``engine=``
-    call site in the library routes through here, so the None → default
-    rule lives in exactly one function.
+    The same as :func:`get_engine`: ``None`` — directly or inside a
+    config — resolves to :data:`DEFAULT_ENGINE`, in
+    :meth:`repro.registry.Registry.resolve`.
     """
-    return get_engine(_unwrap_engine(engine))
+    return _REGISTRY.resolve(engine)
 
 
 def available_engines() -> tuple[str, ...]:

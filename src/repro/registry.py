@@ -33,6 +33,11 @@ class Registry(dict):
     lookup and kept in the table from then on.  Plain ``dict`` access
     sees only what has been registered or resolved so far; use
     :meth:`lookup` and :meth:`names`.
+
+    A registry that backs a *keyword* argument (``"engine"``) is also
+    given the *default* name that ``None`` resolves to and the type
+    (*accepts*) whose instances pass through unresolved; :meth:`unwrap`
+    and :meth:`resolve` need all three.
     """
 
     def __init__(
@@ -41,11 +46,17 @@ class Registry(dict):
         noun: str,
         entries: Optional[Mapping[str, object]] = None,
         builtins: Optional[Mapping[str, str]] = None,
+        keyword: Optional[str] = None,
+        default: Optional[str] = None,
+        accepts: Optional[type] = None,
     ) -> None:
         super().__init__(entries or {})
         self.kind = kind
         self.noun = noun
         self.builtins = dict(builtins or {})
+        self.keyword = keyword
+        self.default = default
+        self.accepts = accepts
 
     def register(self, name: str, entry, replace: bool = False):
         """Bind *name* to *entry*; a taken name needs ``replace=True``."""
@@ -75,6 +86,33 @@ class Registry(dict):
                 name, getattr(importlib.import_module(module), attribute)
             )
         return entry
+
+    def unwrap(self, value):
+        """*value*, or its *keyword* attribute when *value* is a config.
+
+        ``None``, names and instances of *accepts* pass through; any
+        other object carrying an attribute named *keyword*
+        (``RunConfig.engine``) contributes that attribute, so every
+        keyword argument backed by a registry accepts a run config
+        directly.
+        """
+        if value is None or isinstance(value, (str, self.accepts)):
+            return value
+        return getattr(value, self.keyword, value)
+
+    def resolve(self, value):
+        """The entry a keyword argument such as ``engine=`` means.
+
+        Unwraps a config (:meth:`unwrap`), maps ``None`` to the
+        *default* name, returns an instance of *accepts* as it is and
+        looks anything else up by name (:meth:`lookup`).
+        """
+        value = self.unwrap(value)
+        if value is None:
+            value = self.default
+        if isinstance(value, self.accepts):
+            return value
+        return self.lookup(value, hint=f"or an instance of {self.accepts.__name__}")
 
     def names(self) -> tuple[str, ...]:
         """Every registered or built-in name, sorted."""

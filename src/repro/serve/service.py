@@ -27,8 +27,8 @@ of them:
 Every error response body is a replayable
 :class:`~repro.resilience.document.ErrorDocument` dict with the
 library's stable error codes: 400 for invalid documents, 404 for
-unknown ids/routes, 409 for an exhausted ledger, 500 for injected or
-unexpected failures.
+unknown ids/routes, 409 for an exhausted ledger, 413 for a body over
+:data:`MAX_BODY_BYTES`, 500 for injected or unexpected failures.
 """
 
 from __future__ import annotations
@@ -64,8 +64,15 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     409: "Conflict",
+    413: "Content Too Large",
     500: "Internal Server Error",
 }
+
+#: Largest request body the service reads.  Request documents are
+#: experiment parameters and allocate batches, a few kilobytes; a
+#: larger declared ``Content-Length`` is refused before any of the
+#: body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _RunRecord:
@@ -117,6 +124,25 @@ def _finite_float(literal: str) -> float:
 
 def _error_body(exc: BaseException, spec=None, config=None) -> dict:
     return ErrorDocument.capture(exc, spec=spec, config=config).to_dict()
+
+
+def _content_length(value: str):
+    """``(length, None)`` for a readable ``Content-Length`` header value,
+    else ``(0, (status, error_doc))``: 400 for anything but a decimal
+    integer, 413 past :data:`MAX_BODY_BYTES`."""
+    if not value:
+        return 0, None
+    if not (value.isascii() and value.isdigit()):
+        exc = ModelError(f"Content-Length {value!r} is not a non-negative integer")
+        return 0, (400, _error_body(exc))
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        exc = ModelError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+        return 0, (413, _error_body(exc))
+    return length, None
 
 
 def _http_status(exc: BaseException) -> int:
@@ -381,9 +407,12 @@ class ReproService:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length else b""
-            status, doc = await self.handle(method, target, body)
+            length, rejected = _content_length(headers.get("content-length", ""))
+            if rejected is not None:
+                status, doc = rejected
+            else:
+                body = await reader.readexactly(length) if length else b""
+                status, doc = await self.handle(method, target, body)
             payload = json.dumps(doc).encode("utf-8")
             head = (
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"

@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import HTuningProblem, TaskSpec, Tuner
 from repro.core import simulate_job_latency
-from repro.crowddb import CrowdFilter, CrowdQueryEngine, CrowdSort
 from repro.inference import RateProbe, fit_linearity
-from repro.market import (
-    CrowdPlatform,
-    LinearPricing,
-    MarketModel,
-    TaskType,
-)
+from repro.market import LinearPricing, MarketModel, TaskType
 
 
 class TestProbeCalibrateTune:
@@ -56,56 +49,6 @@ class TestProbeCalibrateTune:
             oracle_problem, tuned_oracle, n_samples=20000, rng=1
         )
         assert lat_cal == pytest.approx(lat_orc, rel=0.05)
-
-
-class TestTunedQueryBeatsNaive:
-    """End-to-end: tuned allocation completes crowd queries faster (in
-    expectation) than the equal-payment heuristic on a mixed workload."""
-
-    def test_sort_with_heterogeneous_repetitions(self):
-        vote = TaskType("vote", processing_rate=2.0, accuracy=1.0)
-        pricing = {"vote": LinearPricing(1.0, 1.0)}
-        market = MarketModel(LinearPricing(1.0, 1.0))
-
-        def run(strategy, seed):
-            platform = CrowdPlatform(market, seed=seed)
-            engine = CrowdQueryEngine(
-                platform, pricing, tuner=Tuner(strategy=strategy, seed=0)
-            )
-            op = CrowdSort(
-                items=list("abcdef"),
-                keys=[1.0, 1.02, 5.0, 9.0, 13.0, 20.0],
-                task_type=vote,
-                repetitions=3,
-                strategy="next_votes",
-            )
-            outcome = engine.execute(op, budget=150)
-            assert outcome.result == op.ground_truth()
-            return outcome.latency
-
-        trials = 60
-        tuned = np.mean([run("auto", s) for s in range(trials)])
-        naive = np.mean([run("uniform", s) for s in range(trials)])
-        # Means over 60 trials: tuned should not be slower by more than
-        # Monte-Carlo noise.
-        assert tuned <= naive * 1.1
-
-    def test_filter_answers_survive_tuning(self):
-        vote = TaskType("vote", processing_rate=2.0, accuracy=0.95)
-        market = MarketModel(LinearPricing(1.0, 1.0))
-        platform = CrowdPlatform(market, seed=3)
-        engine = CrowdQueryEngine(
-            platform, {"vote": LinearPricing(1.0, 1.0)}, tuner=Tuner(seed=0)
-        )
-        truths = [True, False] * 5
-        op = CrowdFilter(
-            items=list(range(10)), truths=truths, task_type=vote,
-            repetitions=5,
-        )
-        outcome = engine.execute(op, budget=200)
-        expected = [i for i, t in enumerate(truths) if t]
-        # With 95% accuracy and 5 votes per item, errors are rare.
-        assert set(outcome.result) == set(expected)
 
 
 class TestBudgetMonotonicity:

@@ -1,12 +1,13 @@
 """Batch answer/quality sampling: BatchAggregateSimulator.run_job and
-the platform's "batch" engine serving crowd-DB queries."""
+the platform's "batch" engine serving answer-carrying payloads."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.crowddb.aggregate import PredicateQuestion
 from repro.errors import SimulationError
 from repro.market import (
     LinearPricing,
@@ -17,6 +18,18 @@ from repro.market import (
 from repro.market.platform import CrowdPlatform, PublishRequest
 from repro.market.simulator import AggregateSimulator, AtomicTaskOrder
 from repro.perf import BatchAggregateSimulator
+
+
+@dataclass(frozen=True)
+class PredicateQuestion:
+    """A yes/no vote: the true answer with probability ``accuracy``."""
+
+    item: int
+    truth: bool
+
+    def sample_answer(self, rng, accuracy):
+        correct = rng.random() < accuracy
+        return self.truth if correct else not self.truth
 
 
 @pytest.fixture
@@ -123,23 +136,3 @@ class TestBatchPlatform:
         assert platform.engine_name == "batch"
         assert set(result.answers) == set(range(5))
         assert all(len(v) == 2 for v in result.answers.values())
-
-    def test_crowddb_filter_runs_on_batch_engine(self, vote_type):
-        from repro.crowddb.engine import CrowdQueryEngine
-        from repro.crowddb.operators.filter import CrowdFilter
-
-        market = MarketModel(LinearPricing(slope=1.0, intercept=1.0))
-        platform = CrowdPlatform(market, engine="batch", seed=3)
-        engine = CrowdQueryEngine(
-            platform, pricing={"vote": LinearPricing(slope=1.0, intercept=1.0)}
-        )
-        operator = CrowdFilter(
-            items=list(range(6)),
-            truths=[x % 2 == 0 for x in range(6)],
-            task_type=vote_type,
-            repetitions=3,
-        )
-        outcome = engine.execute(operator, budget=60)
-        assert outcome.engine == "batch"
-        assert outcome.latency > 0
-        assert set(outcome.result) <= set(range(6))

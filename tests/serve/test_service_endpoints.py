@@ -1,14 +1,15 @@
 """Endpoint contracts for the live service (``repro.serve``).
 
 Every assertion here runs in-process against ``ReproService.handle``
-(one event loop per test, no sockets) except the wire test at the
-bottom, which drives the same service over real asyncio streams.
+(one event loop per test, no sockets) except the wire tests at the
+bottom, which drive the same service over real sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 from serve_tiny import TINY_SPEC, call, submit_and_wait
@@ -17,6 +18,7 @@ from repro.api import ExperimentSpec, RunConfig, Session
 from repro.api.config import fingerprint
 from repro.errors import ModelError
 from repro.serve import LiveMarket, ReproService, http_request, start_in_thread
+from repro.serve.service import MAX_BODY_BYTES
 
 
 def run(coro):
@@ -433,3 +435,33 @@ class TestWire:
         handle = start_in_thread(service)
         handle.stop()
         handle.stop()  # second stop is a no-op
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            ("1.5", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+            ("9" * 40, 413),
+        ],
+    )
+    def test_bad_content_length_gets_an_error_document(self, length, status):
+        service = ReproService()
+        with start_in_thread(service) as handle:
+            request = (
+                "POST /runs HTTP/1.1\r\n"
+                f"Host: {handle.host}\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            )
+            address = (handle.host, handle.port)
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(request.encode("latin-1"))
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split()[1] == str(status).encode()
+            doc = json.loads(body)
+            assert doc["code"] == "model-invalid"
+            assert service.tally["requests"] == 0  # never routed

@@ -26,8 +26,33 @@ class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("table1", "fig2", "fig3", "fig4", "fig5ab", "fig5c"):
-            assert name in out
+        assert out.split() == [
+            "table1", "fig2", "fig3", "fig4", "fig5ab", "fig5c", "deadline",
+        ]
+
+    def test_all_runs_every_listed_command(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        calls = []
+        table = {
+            name: lambda args, name=name: calls.append(
+                (name, getattr(args, "scenario", None))
+            )
+            for name in cli._EXPERIMENT_COMMANDS
+        }
+        monkeypatch.setattr(cli, "_EXPERIMENT_COMMANDS", table)
+        assert main(["all"]) == 0
+        assert calls == [
+            ("table1", None),
+            ("fig2", "homo"),
+            ("fig2", "repe"),
+            ("fig2", "heter"),
+            ("fig3", None),
+            ("fig4", None),
+            ("fig5ab", None),
+            ("fig5c", None),
+            ("deadline", "repe"),  # its parser's default scenario
+        ]
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0

@@ -67,9 +67,6 @@ LIGHT_PATH_EXCLUDES = (
     "repro.serve.loadgen",
     "repro.market.platform",
     "repro.market.simulator",
-    "repro.market.persistence",
-    "repro.market.retainer",
-    "repro.crowddb",
 )
 
 

@@ -127,7 +127,7 @@ print(json.dumps(report))
 def test_every_export_resolves_lazily():
     report = json.loads(run_fresh(EXPORTS))
     assert report.pop("even_allocation") is True
-    assert len(report) == 15  # repro + every subpackage
+    assert len(report) == 13  # repro + every subpackage
     assert {name: p for name, p in report.items() if p} == {}
 
 
@@ -182,3 +182,23 @@ class TestRegistry:
             registry.register("", 3)
         with pytest.raises(RegistryError, match="did you mean 'plain'"):
             registry.lookup("plane", hint="or a number")
+
+    def test_resolve_unwraps_defaults_passes_through_and_looks_up(self):
+        registry = Registry(
+            "widget",
+            "a widget",
+            entries={"plain": 1},
+            keyword="widget",
+            default="plain",
+            accepts=float,
+        )
+
+        class Config:
+            widget = None
+
+        assert registry.resolve(None) == 1
+        assert registry.resolve(Config()) == 1
+        assert registry.resolve(2.5) == 2.5
+        assert registry.resolve("plain") == 1
+        with pytest.raises(RegistryError, match="or an instance of float"):
+            registry.resolve("plane")
